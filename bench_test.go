@@ -226,24 +226,6 @@ func BenchmarkAblationTau(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGrouping compares brute-force tracing against the
-// Max-Miner grouped fast path (Section III-C) on the rule-dense dota2 task.
-func BenchmarkAblationGrouping(b *testing.B) {
-	s, rs := trainedFixture(b, "dota2", 1500)
-	for _, grouping := range []bool{false, true} {
-		name := "brute-force"
-		if grouping {
-			name = "max-miner"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tracer := core.NewTracer(rs, s.Parts, core.Config{TauW: 0.9, Grouping: grouping})
-				_ = tracer.Trace(s.Test)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationGrafting compares the paper's gradient-grafted training
 // against continuous training with post-hoc 0.5-binarization. The metric is
 // the binarized test accuracy — grafting exists to close this gap.

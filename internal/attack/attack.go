@@ -7,13 +7,12 @@
 // submitted).
 //
 // The two paths see different attack surfaces, and the harness reports
-// that honestly: data-space attacks (label flipping, low-quality labels,
-// replication) distort both paths, but update-space attacks (free-riders,
-// scaling, sign-flips, collusion) are invisible to the batch path — it
-// never looks at uploaded parameters, so its clean and attacked scores are
-// identical by construction. Only the streaming path, scoring the real
-// upload stream, observes them; detection latency is therefore a
-// streaming-only metric.
+// that honestly: data-space attacks (label flipping) distort both paths,
+// but update-space attacks (free-riders, scaling, collusion) are invisible
+// to the batch path — it never looks at uploaded parameters, so its clean
+// and attacked scores are identical by construction. Only the streaming
+// path, scoring the real upload stream, observes them; detection latency
+// is therefore a streaming-only metric.
 //
 // Determinism contract: a Matrix is a pure function of its Config. Every
 // random choice — data poisoning, dropout churn, tamper noise, permutation
@@ -66,18 +65,6 @@ func LabelFlip() Spec {
 	return Spec{Name: "label-flip", Data: dataAttack(fl.FlipLabels)}
 }
 
-// LowQuality re-draws labels from the attacker's own label distribution;
-// intensity is the affected fraction.
-func LowQuality() Spec {
-	return Spec{Name: "low-quality", Data: dataAttack(fl.InjectLowQuality)}
-}
-
-// Replication duplicates a sample of the attacker's rows; intensity is the
-// duplicated fraction.
-func Replication() Spec {
-	return Spec{Name: "replication", Data: dataAttack(fl.Replicate)}
-}
-
 // updateAttack builds a Spec.Update hook giving each attacker its own
 // tamper from mk, seeded per-attacker so independent attackers draw
 // independent noise.
@@ -113,16 +100,6 @@ func ScalingAttack() Spec {
 	return Spec{Name: "scaling", Update: func(attackers []int, intensity float64, seed int64) map[int]fl.UpdateTamper {
 		return updateAttack(func(int64) fl.UpdateTamper {
 			return &fl.Scaling{Factor: intensity}
-		})(attackers, intensity, seed)
-	}}
-}
-
-// SignFlipAttack inverts (and scales by intensity; 0 means 1) each
-// attacker's update delta.
-func SignFlipAttack() Spec {
-	return Spec{Name: "sign-flip", Update: func(attackers []int, intensity float64, seed int64) map[int]fl.UpdateTamper {
-		return updateAttack(func(int64) fl.UpdateTamper {
-			return &fl.SignFlip{Factor: intensity}
 		})(attackers, intensity, seed)
 	}}
 }

@@ -102,13 +102,6 @@ func New(members []string, cfg Config) (*Ring, error) {
 	return r, nil
 }
 
-// Nodes returns the ring members, sorted. The slice is a copy.
-func (r *Ring) Nodes() []string {
-	out := make([]string, len(r.nodes))
-	copy(out, r.nodes)
-	return out
-}
-
 // Size reports the member count.
 func (r *Ring) Size() int { return len(r.nodes) }
 

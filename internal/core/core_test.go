@@ -381,36 +381,6 @@ func TestCollectionGuidanceSurfacesUncovered(t *testing.T) {
 	}
 }
 
-func TestGroupingMatchesBruteForce(t *testing.T) {
-	// Grouped tracing must produce identical counts to the brute-force path.
-	tab := dataset.TicTacToe()
-	r := stats.NewRNG(5)
-	train, test := tab.Split(r, 0.3)
-	enc, err := dataset.NewEncoder(tab.Schema, 4, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := nn.New(enc.Width(), nn.Config{Hidden: []int{32}, Epochs: 25, Grafting: true, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y := enc.EncodeTable(train)
-	m.Train(x, y)
-	rs := rules.Extract(m, enc)
-	parts := fl.PartitionSkewLabel(train, 4, 0.8, r)
-
-	brute := NewTracer(rs, parts, Config{TauW: 0.8}).Trace(test)
-	grouped := NewTracer(rs, parts, Config{TauW: 0.8, Grouping: true}).Trace(test)
-	for te := 0; te < test.Len(); te++ {
-		for i := 0; i < 4; i++ {
-			if brute.Counts[te][i] != grouped.Counts[te][i] {
-				t.Fatalf("te %d participant %d: brute %d vs grouped %d",
-					te, i, brute.Counts[te][i], grouped.Counts[te][i])
-			}
-		}
-	}
-}
-
 func TestTracerPanicsOnBadTau(t *testing.T) {
 	f := buildFig2(t)
 	defer func() {

@@ -86,7 +86,7 @@ func TestGoldenTrace(t *testing.T) {
 	}{
 		{"tau-0.9", Config{TauW: 0.9}, 0x95fa6fba},
 		{"tau-1.0-delta-3", Config{TauW: 1.0, Delta: 3}, 0x294eb4ea},
-		{"grouped", Config{TauW: 0.85, Grouping: true}, 0x544cfcae},
+		{"tau-0.85", Config{TauW: 0.85}, 0x544cfcae},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tracer := NewTracer(rs, parts, tc.cfg)

@@ -180,26 +180,6 @@ func TestPropertyZeroElementRandom(t *testing.T) {
 	}
 }
 
-func TestPropertyGroupingEquivalenceRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		fx := newRandomFixture(r)
-		plain := NewTracerFromUploads(fx.rs, fx.parts, cloneUploads(fx.ups), Config{TauW: 0.8}).Trace(fx.tab)
-		grouped := NewTracerFromUploads(fx.rs, fx.parts, cloneUploads(fx.ups), Config{TauW: 0.8, Grouping: true}).Trace(fx.tab)
-		for te := 0; te < plain.TestSize; te++ {
-			for i := 0; i < fx.parts; i++ {
-				if plain.Counts[te][i] != grouped.Counts[te][i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func cloneUploads(ups []TrainingUpload) []TrainingUpload {
 	out := make([]TrainingUpload, len(ups))
 	for i, u := range ups {

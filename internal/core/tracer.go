@@ -28,16 +28,6 @@ type Config struct {
 	// Delta is the macro scheme's minimum related-instance count (Eq. 6).
 	// Default 2.
 	Delta int
-	// Grouping historically enabled the Max-Miner grouped fast path for
-	// large datasets (Section III-C, "Efficient Computation of CTFL"). The
-	// tracer now always runs on an inverted rule index that strictly
-	// dominates that candidate pruning — every pattern only visits training
-	// instances sharing at least one activated rule — so this flag is kept
-	// for API compatibility and no longer changes behaviour or results.
-	Grouping bool
-	// GroupMinSupport was the minimum support fraction for Max-Miner groups.
-	// Retained for API compatibility; unused by the indexed tracer.
-	GroupMinSupport float64
 	// Workers bounds tracing parallelism; 0 means a small default.
 	Workers int
 	// Obs receives tracer telemetry (strategy counters, query latency).
@@ -51,9 +41,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Delta == 0 {
 		c.Delta = 2
-	}
-	if c.GroupMinSupport == 0 {
-		c.GroupMinSupport = 0.05
 	}
 	if c.Workers == 0 {
 		c.Workers = 8
@@ -265,7 +252,7 @@ type traceScratch struct {
 	matched []int32
 }
 
-func (t *Tracer) getScratch() *traceScratch  { return t.scratch.Get().(*traceScratch) }
+func (t *Tracer) getScratch() *traceScratch   { return t.scratch.Get().(*traceScratch) }
 func (t *Tracer) putScratch(sc *traceScratch) { t.scratch.Put(sc) }
 
 // NumParticipants returns the number of indexed participants.

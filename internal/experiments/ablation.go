@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rules"
@@ -11,17 +10,16 @@ import (
 )
 
 // AblationResult sweeps CTFL's own design knobs on one workload: the
-// tracing threshold tau_w (Eq. 4), the macro delta (Eq. 6), the Max-Miner
-// grouped fast path, and the local-DP budget on uploaded activation
+// tracing threshold tau_w (Eq. 4), the macro delta (Eq. 6) and the
+// local-DP budget on uploaded activation
 // vectors. One global model is trained; every row below is a re-trace.
 type AblationResult struct {
 	Workload Workload
 	Accuracy float64
 
-	TauRows      []TauRow
-	DeltaRows    []DeltaRow
-	GroupingRows []GroupingRow
-	DPRows       []DPRow
+	TauRows   []TauRow
+	DeltaRows []DeltaRow
+	DPRows    []DPRow
 }
 
 // TauRow is one tau_w setting's outcome.
@@ -36,12 +34,6 @@ type TauRow struct {
 type DeltaRow struct {
 	Delta           int
 	AllocatedCredit float64 // sum of macro scores (≤ accuracy)
-}
-
-// GroupingRow compares tracing wall time with and without Max-Miner groups.
-type GroupingRow struct {
-	Grouping bool
-	Elapsed  time.Duration
 }
 
 // DPRow is one local-DP budget's outcome.
@@ -101,17 +93,6 @@ func RunAblation(s *Setup) (*AblationResult, error) {
 		})
 	}
 
-	// Grouping fast path timing.
-	for _, grouping := range []bool{false, true} {
-		tr := core.NewTracer(rs, s.Parts, core.Config{TauW: s.Workload.TauW, Grouping: grouping})
-		start := time.Now()
-		tr.Trace(s.Test)
-		res.GroupingRows = append(res.GroupingRows, GroupingRow{
-			Grouping: grouping,
-			Elapsed:  time.Since(start),
-		})
-	}
-
 	// Local-DP sweep.
 	exactTracer := core.NewTracer(rs, s.Parts, core.Config{TauW: s.Workload.TauW})
 	exact := exactTracer.Trace(s.Test).MicroScores()
@@ -125,7 +106,7 @@ func RunAblation(s *Setup) (*AblationResult, error) {
 	return res, nil
 }
 
-// Render prints the four ablation tables.
+// Render prints the three ablation tables.
 func (r *AblationResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Ablations on %s (model accuracy %.4f)\n\n", r.Workload.String(), r.Accuracy)
 
@@ -147,20 +128,9 @@ func (r *AblationResult) Render(w io.Writer) {
 	t2.Render(w)
 	fmt.Fprintln(w)
 
-	t3 := NewTable("grouped tracing (Max-Miner fast path)", "mode", "seconds")
-	for _, row := range r.GroupingRows {
-		mode := "brute-force"
-		if row.Grouping {
-			mode = "max-miner"
-		}
-		t3.AddRow(mode, fmt.Sprintf("%.4f", row.Elapsed.Seconds()))
+	t3 := NewTable("local-DP on uploaded activation vectors", "epsilon", "rank-agreement")
+	for _, row := range r.DPRows {
+		t3.AddRow(fmt.Sprintf("%.1f", row.Epsilon), fmt.Sprintf("%.4f", row.RankAgreement))
 	}
 	t3.Render(w)
-	fmt.Fprintln(w)
-
-	t4 := NewTable("local-DP on uploaded activation vectors", "epsilon", "rank-agreement")
-	for _, row := range r.DPRows {
-		t4.AddRow(fmt.Sprintf("%.1f", row.Epsilon), fmt.Sprintf("%.4f", row.RankAgreement))
-	}
-	t4.Render(w)
 }

@@ -377,9 +377,9 @@ func TestRunAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.TauRows) != 5 || len(res.DeltaRows) != 5 || len(res.GroupingRows) != 2 || len(res.DPRows) != 5 {
-		t.Fatalf("row counts: %d %d %d %d",
-			len(res.TauRows), len(res.DeltaRows), len(res.GroupingRows), len(res.DPRows))
+	if len(res.TauRows) != 5 || len(res.DeltaRows) != 5 || len(res.DPRows) != 5 {
+		t.Fatalf("row counts: %d %d %d",
+			len(res.TauRows), len(res.DeltaRows), len(res.DPRows))
 	}
 	// Coverage gap must not shrink as tau rises.
 	for i := 1; i < len(res.TauRows); i++ {
@@ -399,7 +399,7 @@ func TestRunAblation(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	res.Render(&buf)
-	for _, want := range []string{"tau_w sweep", "macro delta sweep", "max-miner", "local-DP"} {
+	for _, want := range []string{"tau_w sweep", "macro delta sweep", "local-DP"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("render missing %q", want)
 		}

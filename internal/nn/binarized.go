@@ -88,9 +88,6 @@ func (m *Model) Binarize() *Binarized {
 // InDim returns the expected input width.
 func (b *Binarized) InDim() int { return b.inDim }
 
-// RuleDim returns the number of rule activations produced.
-func (b *Binarized) RuleDim() int { return b.ruleDim }
-
 // eval computes the score and fills buf.rules with the {0,1} activations.
 // Inputs must be {0,1} valued (the predicate encoder's output domain).
 func (b *Binarized) eval(x []float64, buf *binBuffers) float64 {
@@ -146,7 +143,7 @@ func (b *Binarized) Score(x []float64) float64 {
 	return s
 }
 
-// RuleActivations fills dst (length RuleDim, allocated when nil) with the
+// RuleActivations fills dst (one entry per rule, allocated when nil) with the
 // {0,1} rule-activation vector for x and returns it.
 func (b *Binarized) RuleActivations(x []float64, dst []float64) []float64 {
 	if dst == nil {

@@ -51,12 +51,11 @@ const Version2 = 2
 const ContentTypeFrame = "application/x-ctfl"
 
 // Exported v2 message types (the v1 activation upload keeps its private
-// constant; it is only ever produced by Upload.Write).
+// constant, type 1; it is only ever produced by Upload.Write).
 const (
-	TypeActivationUpload = msgActivationUpload
-	TypePredictRequest   = 2
-	TypePredictResponse  = 3
-	TypeTraceResult      = 4
+	TypePredictRequest  = 2
+	TypePredictResponse = 3
+	TypeTraceResult     = 4
 )
 
 const (

@@ -94,7 +94,7 @@ func TestChaosSoak(t *testing.T) {
 	fx := buildFederation(t)
 
 	// Fault-free baseline.
-	baseSrv, err := NewWithOptions(Options{DataDir: t.TempDir(), NoSync: true, Logf: t.Logf})
+	baseSrv, err := NewWithOptions(Options{DataDir: t.TempDir(), NoSync: true, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestChaosSoak(t *testing.T) {
 		DataDir:           chaosDir,
 		NoSync:            true,
 		CompactBytes:      1, // compact after every mutation: exercises the snapshot fault sites
-		Logf:              t.Logf,
+		Logger:            testLogger(t),
 		Faults:            in,
 		JobRetry:          jobs.RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
 		DegradedThreshold: 1, // any WAL failure trips degraded mode

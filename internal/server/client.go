@@ -145,12 +145,12 @@ func (c *Client) backoffDelay(p ClientRetryPolicy, n int) time.Duration {
 type failKind int
 
 const (
-	failNone       failKind = iota
-	failPreSend             // injected before the wire: server never saw it
-	failTransport           // sent, no response: effect on the server unknown
-	failRejected            // 503/429: the server rejected before any effect
-	failMisrouted           // 421: wrong shard, rejected before any effect
-	failPermanent           // any other status or a decode error
+	failNone      failKind = iota
+	failPreSend            // injected before the wire: server never saw it
+	failTransport          // sent, no response: effect on the server unknown
+	failRejected           // 503/429: the server rejected before any effect
+	failMisrouted          // 421: wrong shard, rejected before any effect
+	failPermanent          // any other status or a decode error
 )
 
 // attempt is one request/response cycle's outcome.
@@ -498,20 +498,6 @@ func (c *Client) traceOnce(ctx context.Context, csv []byte, tau float64, delta i
 		}
 		env = *next
 	}
-}
-
-// TraceAsync submits a trace job without waiting; poll with TraceJob.
-func (c *Client) TraceAsync(ctx context.Context, test *dataset.Table, tau float64, delta int) (*TraceJobResponse, error) {
-	var csv bytes.Buffer
-	if err := dataset.WriteCSV(&csv, test); err != nil {
-		return nil, err
-	}
-	path := fmt.Sprintf("/v1/trace?tau=%g&delta=%d", tau, delta)
-	var out TraceJobResponse
-	if err := c.do(ctx, http.MethodPost, path, "text/csv", "", csv.Bytes(), &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // TraceJob polls one trace job's status and (when done) result.

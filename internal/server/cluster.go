@@ -364,7 +364,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		// Fold the rebuilt state into a snapshot so a follower restart
 		// replays to exactly this point, not through the pre-reset history.
 		if err := s.store.Compact(s.snapshotEventsLocked()); err != nil {
-			s.opts.Logf("server: replica reset compaction failed (continuing on wal): %v", err)
+			s.log.Warn("replica reset compaction failed (continuing on wal)", "err", err)
 		}
 	}
 	s.maybeCompactLocked()

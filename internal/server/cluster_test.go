@@ -49,7 +49,7 @@ func newListeners(t *testing.T, n int) ([]net.Listener, []string) {
 // pre-allocated listener.
 func startNode(t *testing.T, l net.Listener, url string, opts Options) *clusterNode {
 	t.Helper()
-	opts.Logf = t.Logf
+	opts.Logger = testLogger(t)
 	s, err := NewWithOptions(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func TestDegradedModeRejectsWritesThenRecovers(t *testing.T) {
 	})
 	s, err := NewWithOptions(Options{
 		DataDir:           t.TempDir(),
-		Logf:              t.Logf,
+		Logger:            testLogger(t),
 		Faults:            in,
 		DegradedThreshold: 2,
 		ProbeInterval:     time.Nanosecond, // every write attempt may probe
@@ -112,7 +112,7 @@ func TestDegradedModeRejectsWritesThenRecovers(t *testing.T) {
 // holding the goroutine for the full wait duration.
 func TestWaitTraceRequestCancellationFreesSlot(t *testing.T) {
 	fx := buildFederation(t)
-	s, err := NewWithOptions(Options{Workers: 1, Logf: t.Logf})
+	s, err := NewWithOptions(Options{Workers: 1, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

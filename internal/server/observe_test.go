@@ -25,7 +25,7 @@ func TestSLOBurnTripsAndClearsDegraded(t *testing.T) {
 	})
 	s, err := NewWithOptions(Options{
 		DataDir: t.TempDir(),
-		Logf:    t.Logf,
+		Logger:  testLogger(t),
 		Faults:  in,
 		// The blunt threshold is far away and probes are effectively off:
 		// only the SLO engine can change the controller's mind here.
@@ -391,7 +391,7 @@ func TestStatsCarriesObservability(t *testing.T) {
 // and the finished job itself appears as a KindJob event.
 func TestTraceCacheHitAnnotatesFlight(t *testing.T) {
 	fx := buildFederation(t)
-	s, err := NewWithOptions(Options{Logf: t.Logf})
+	s, err := NewWithOptions(Options{Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ type rawJobEnv struct {
 
 func newDurable(t *testing.T, dir string) *Server {
 	t.Helper()
-	s, err := NewWithOptions(Options{DataDir: dir, Logf: t.Logf})
+	s, err := NewWithOptions(Options{DataDir: dir, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRestartReproducesTraceByteForByte(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := NewWithOptions(Options{DataDir: dir, Logf: t.Logf})
+		s2, err := NewWithOptions(Options{DataDir: dir, Logger: testLogger(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,12 +286,11 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reqs map[string]int64
-	if err := json.Unmarshal(st.Requests, &reqs); err != nil {
-		t.Fatal(err)
+	reqs := func(route string) any {
+		return st.Telemetry[fmt.Sprintf("ctfl_http_requests_total{route=%q}", route)]
 	}
-	if reqs["/v1/trace"] != 2 || reqs["/v1/uploads"] != 1 {
-		t.Fatalf("request counters = %v", reqs)
+	if reqs("/v1/trace") != 2.0 || reqs("/v1/uploads") != 1.0 {
+		t.Fatalf("request counters: /v1/trace=%v /v1/uploads=%v", reqs("/v1/trace"), reqs("/v1/uploads"))
 	}
 	if st.Jobs["done"] != 1 || st.Jobs["cache_hits"] != 1 || st.Jobs["submitted"] != 1 {
 		t.Fatalf("job counters = %v", st.Jobs)
@@ -315,7 +314,7 @@ func TestWALCompactionUnderUploadPressure(t *testing.T) {
 	}
 	fx := buildFederation(t)
 	dir := t.TempDir()
-	s1, err := NewWithOptions(Options{DataDir: dir, CompactBytes: 512, Logf: t.Logf})
+	s1, err := NewWithOptions(Options{DataDir: dir, CompactBytes: 512, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -350,7 +350,7 @@ func TestRoundRouteValidation(t *testing.T) {
 // duration.
 func TestScoresWaitRequestCancellation(t *testing.T) {
 	fx := buildFederation(t)
-	s, err := NewWithOptions(Options{Logf: t.Logf})
+	s, err := NewWithOptions(Options{Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestContributionGateOnServer(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	s1, err := NewWithOptions(Options{DataDir: dir, Logf: t.Logf, RoundGate: gate})
+	s1, err := NewWithOptions(Options{DataDir: dir, Logger: testLogger(t), RoundGate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +522,7 @@ func TestContributionGateOnServer(t *testing.T) {
 	ts1.Close() // crash without graceful close: WAL only
 
 	// Restore: gate flags must rebuild from replayed outcomes alone.
-	s2, err := NewWithOptions(Options{DataDir: dir, Logf: t.Logf, RoundGate: gate})
+	s2, err := NewWithOptions(Options{DataDir: dir, Logger: testLogger(t), RoundGate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}

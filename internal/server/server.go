@@ -12,7 +12,7 @@
 //	POST /v1/trace         submit a reserved test set (CSV) → trace job
 //	GET  /v1/trace/{id}    poll a trace job's status / result
 //	GET  /v1/rules         the extracted rule set (interpretability)
-//	GET  /v1/stats         observability counters (requests, jobs, store)
+//	GET  /v1/stats         observability counters (telemetry, jobs, store)
 //	GET  /v1/events        flight-recorder wide events (JSON or binary v2)
 //	GET  /v1/debug/bundle  one-shot incident capture (state+SLO+events+traces)
 //	GET  /v1/version       build identity (module, VCS revision)
@@ -51,7 +51,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -108,14 +107,8 @@ type Options struct {
 	// NoSync disables the per-append WAL fsync (durability for speed).
 	NoSync bool
 	// Logger is the service's structured logger: access log, recovery and
-	// lifecycle diagnostics. Defaults to a logger built from Logf when that
-	// is set, else slog.Default().
+	// lifecycle diagnostics. Defaults to slog.Default().
 	Logger *slog.Logger
-	// Logf is the legacy printf-style hook, kept as a compatibility shim:
-	// when set (and Logger is not), all logging renders through it. When
-	// only Logger is set, Logf is derived from it so internal printf-style
-	// call sites keep working.
-	Logf func(format string, args ...any)
 	// SpanLogSize bounds the ring buffer of recent request trace trees
 	// served by GET /v1/traces/recent (default 64).
 	SpanLogSize int
@@ -219,13 +212,7 @@ func (o Options) withDefaults() Options {
 		o.CompactBytes = 8 << 20
 	}
 	if o.Logger == nil {
-		o.Logger = telemetry.LogfLogger(o.Logf) // nil Logf → slog.Default()
-	}
-	if o.Logf == nil {
-		lg := o.Logger
-		o.Logf = func(format string, args ...any) {
-			lg.Info(fmt.Sprintf(format, args...))
-		}
+		o.Logger = slog.Default()
 	}
 	if o.SpanLogSize <= 0 {
 		o.SpanLogSize = 64
@@ -320,9 +307,8 @@ type Server struct {
 	// WAL appends trigger (see sloSyncFloor). Guarded by mu (write).
 	lastSLOTick time.Time
 
-	mux      *http.ServeMux
-	requests *expvar.Map // per-route request counters (legacy /v1/stats shape)
-	started  time.Time
+	mux     *http.ServeMux
+	started time.Time
 
 	// Observability substrate: one registry for every metric family the
 	// process owns, a ring of recent request trace trees, the unified
@@ -399,13 +385,12 @@ func New() *Server {
 func NewWithOptions(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:     opts,
-		mux:      http.NewServeMux(),
-		requests: new(expvar.Map).Init(),
-		started:  time.Now(),
-		reg:      telemetry.NewRegistry(),
-		spans:    telemetry.NewSpanLog(opts.SpanLogSize),
-		log:      opts.Logger,
+		opts:    opts,
+		mux:     http.NewServeMux(),
+		started: time.Now(),
+		reg:     telemetry.NewRegistry(),
+		spans:   telemetry.NewSpanLog(opts.SpanLogSize),
+		log:     opts.Logger,
 	}
 	s.inFlight = s.reg.Gauge("ctfl_http_in_flight", "HTTP requests currently being served")
 	s.coreObs = core.NewObs(s.reg)
@@ -477,7 +462,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 
 	if opts.DataDir != "" {
 		st, events, err := store.Open(opts.DataDir, store.Options{
-			Sync: !opts.NoSync, Logf: opts.Logf, Obs: s.storeObs, Faults: opts.Faults,
+			Sync: !opts.NoSync, Logger: s.log, Obs: s.storeObs, Faults: opts.Faults,
 			// Leaders retain the logical event log so cursor resyncs can
 			// re-feed a lagging follower (see cluster.go).
 			Retain: opts.ReplicaURL != "",
@@ -491,11 +476,11 @@ func NewWithOptions(opts Options) (*Server, error) {
 				// Every event was validated before it was logged, so a bad
 				// one is survivable noise (e.g. an upload for a superseded
 				// model): log and keep replaying.
-				opts.Logf("server: replay: skipping event %d (type %d): %v", i, ev.Type, err)
+				s.log.Warn("replay: skipping event", "index", i, "type", ev.Type, "err", err)
 			}
 		}
-		opts.Logf("server: replayed %d events from %s (%d participants, %d records)",
-			len(events), opts.DataDir, s.st.parts, len(s.st.uploads))
+		s.log.Info("replayed wal", "events", len(events), "dir", opts.DataDir,
+			"participants", s.st.parts, "records", len(s.st.uploads))
 	}
 
 	s.route("/healthz", s.handleHealth)
@@ -532,11 +517,6 @@ func NewWithOptions(opts Options) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Registry exposes the server's metric registry, so embedding callers
-// (CLI harnesses, tests) can register or read instruments alongside the
-// built-in families.
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -779,7 +759,7 @@ func (s *Server) maybeCompactLocked() {
 		return
 	}
 	if err := s.store.Compact(s.snapshotEventsLocked()); err != nil {
-		s.opts.Logf("server: wal compaction failed (continuing on wal): %v", err)
+		s.log.Warn("wal compaction failed (continuing on wal)", "err", err)
 	}
 }
 
@@ -1304,7 +1284,6 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 // StatsResponse is the shape of GET /v1/stats.
 type StatsResponse struct {
 	UptimeSeconds float64          `json:"uptime_seconds"`
-	Requests      json.RawMessage  `json:"requests"`
 	Jobs          map[string]int64 `json:"jobs"`
 	Store         *store.Metrics   `json:"store,omitempty"`
 	State         map[string]any   `json:"state"`
@@ -1345,7 +1324,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.runtime.Collect()
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		Requests:      json.RawMessage(s.requests.String()),
 		Jobs:          s.engine.MetricsView(),
 		State:         st,
 		Telemetry:     s.reg.Snapshot(),

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -299,4 +300,16 @@ func TestErrorBodyIsJSON(t *testing.T) {
 	if !strings.Contains(body["error"], "nn:") {
 		t.Fatalf("error body = %v", body)
 	}
+}
+
+// testLogger returns a logger whose records go to t.Log.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, nil))
+}
+
+type testWriter struct{ t testing.TB }
+
+func (w testWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

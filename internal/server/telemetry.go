@@ -98,9 +98,7 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		if id == "" {
 			id = telemetry.NewRequestID()
 		}
-		reqLog := s.log.With("request_id", id)
 		ctx := telemetry.WithRequestID(r.Context(), id)
-		ctx = telemetry.WithLogger(ctx, reqLog)
 		ctx = telemetry.WithSpanLog(ctx, s.spans)
 		ex := &reqExtras{}
 		ctx = withReqExtras(ctx, ex)
@@ -110,7 +108,6 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		s.requests.Add(pattern, 1)
 		reqs.Inc()
 		s.inFlight.Add(1)
 		r = r.WithContext(ctx)
@@ -157,7 +154,8 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 
 		span.SetAttr("status", sw.code)
 		span.End()
-		reqLog.Info("request",
+		s.log.Info("request",
+			"request_id", id,
 			"method", r.Method,
 			"route", pattern,
 			"status", sw.code,

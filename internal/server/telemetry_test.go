@@ -3,7 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -135,13 +136,8 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 }
 
 func TestAccessLogCarriesRequestID(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	s, err := NewWithOptions(Options{Logf: func(format string, args ...any) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}})
+	var buf lockedBuffer
+	s, err := NewWithOptions(Options{Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,20 +155,39 @@ func TestAccessLogCarriesRequestID(t *testing.T) {
 		t.Errorf("X-Request-Id echoed as %q, want caller's id", got)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
 	found := false
-	for _, l := range lines {
-		if strings.Contains(l, "request") && strings.Contains(l, "request_id=reqid-test-42") {
-			found = true
-			if !strings.Contains(l, "route=/healthz") || !strings.Contains(l, "status=200") {
-				t.Errorf("access log line missing route/status: %q", l)
-			}
+	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
+		var rec map[string]any
+		if json.Unmarshal(line, &rec) != nil || rec["msg"] != "request" || rec["request_id"] != "reqid-test-42" {
+			continue
+		}
+		found = true
+		if rec["route"] != "/healthz" || rec["status"] != 200.0 {
+			t.Errorf("access log record missing route/status: %v", rec)
 		}
 	}
 	if !found {
-		t.Fatalf("no access-log line carries the request id; got %q", lines)
+		t.Fatalf("no access-log record carries the request id; got %q", buf.Bytes())
 	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for a handler writing from the
+// serving goroutines while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) Bytes() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return bytes.Clone(b.buf.Bytes())
 }
 
 // TestConcurrentScrapeWhileUploading exercises the metric registry, span

@@ -33,7 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -107,9 +107,9 @@ type Options struct {
 	// Sync fsyncs the WAL after every append. Durable but slower; on by
 	// default in Open.
 	Sync bool
-	// Logf receives recovery diagnostics (corruption truncation, snapshot
-	// fallback). Defaults to log.Printf.
-	Logf func(format string, args ...any)
+	// Logger receives recovery diagnostics (corruption truncation, snapshot
+	// fallback). Defaults to slog.Default().
+	Logger *slog.Logger
 	// Obs receives store telemetry. Nil disables it (zero overhead beyond
 	// one pointer check per instrument).
 	Obs *Obs
@@ -154,8 +154,8 @@ type Metrics struct {
 // returned events are in original append order; applying them to a fresh
 // state machine reproduces the pre-restart state.
 func Open(dir string, opts Options) (*Store, []Event, error) {
-	if opts.Logf == nil {
-		opts.Logf = log.Printf
+	if opts.Logger == nil {
+		opts.Logger = slog.Default()
 	}
 	if opts.Obs == nil {
 		opts.Obs = &Obs{} // inert: every instrument is a nil-safe no-op
@@ -176,8 +176,8 @@ func Open(dir string, opts Options) (*Store, []Event, error) {
 		return nil, nil, err
 	}
 	if fi, statErr := os.Stat(walPath); statErr == nil && fi.Size() > goodLen {
-		s.opts.Logf("store: wal corrupt after %d bytes (%d events recovered); truncating %d trailing bytes",
-			goodLen, len(walEvents), fi.Size()-goodLen)
+		s.opts.Logger.Warn("store: wal corrupt; truncating trailing bytes",
+			"good_bytes", goodLen, "events_recovered", len(walEvents), "truncated_bytes", fi.Size()-goodLen)
 		s.opts.Obs.ReplayTruncatedBytes.Add(fi.Size() - goodLen)
 		if err := os.Truncate(walPath, goodLen); err != nil {
 			return nil, nil, fmt.Errorf("store: truncating corrupt wal: %w", err)
@@ -211,7 +211,8 @@ func (s *Store) loadSnapshot() ([]Event, error) {
 		path := s.snapshotPath(seqs[i])
 		events, err := readSnapshot(path)
 		if err != nil {
-			s.opts.Logf("store: snapshot %s unreadable (%v); trying previous", filepath.Base(path), err)
+			s.opts.Logger.Warn("store: snapshot unreadable; trying previous",
+				"snapshot", filepath.Base(path), "err", err)
 			s.opts.Obs.SnapshotFallbacks.Inc()
 			continue
 		}

@@ -13,7 +13,7 @@ import (
 func openFaulty(t *testing.T, dir string, in *faults.Injector) (*Store, []Event, *Obs) {
 	t.Helper()
 	obs := NewObs(telemetry.NewRegistry())
-	s, evs, err := Open(dir, Options{Logf: t.Logf, Obs: obs, Faults: in})
+	s, evs, err := Open(dir, Options{Logger: testLogger(t), Obs: obs, Faults: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestInjectedAppendCorruptionTruncatedOnReplay(t *testing.T) {
 	s.Close()
 
 	obs := NewObs(telemetry.NewRegistry())
-	s2, evs, err := Open(dir, Options{Logf: t.Logf, Obs: obs})
+	s2, evs, err := Open(dir, Options{Logger: testLogger(t), Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestInjectedSnapshotCorruptionFallsBack(t *testing.T) {
 	s2.Close()
 
 	obs := NewObs(telemetry.NewRegistry())
-	s3, evs, err := Open(dir, Options{Logf: t.Logf, Obs: obs})
+	s3, evs, err := Open(dir, Options{Logger: testLogger(t), Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}

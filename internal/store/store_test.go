@@ -3,15 +3,17 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
 
 func openT(t *testing.T, dir string) (*Store, []Event) {
 	t.Helper()
-	s, evs, err := Open(dir, Options{Logf: t.Logf})
+	s, evs, err := Open(dir, Options{Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,4 +236,16 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := s.Compact(nil); err == nil {
 		t.Fatal("compact after close should fail")
 	}
+}
+
+// testLogger returns a logger whose records go to t.Log.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, nil))
+}
+
+type testWriter struct{ t testing.TB }
+
+func (w testWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

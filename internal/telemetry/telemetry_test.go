@@ -193,22 +193,6 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
-func TestLogfLogger(t *testing.T) {
-	var lines []string
-	l := LogfLogger(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	l.With("request_id", "r1").Info("http request", "route", "/healthz", "status", 200)
-	if len(lines) != 1 {
-		t.Fatalf("lines = %v", lines)
-	}
-	for _, want := range []string{"INFO", "http request", "request_id=r1", "route=/healthz", "status=200"} {
-		if !strings.Contains(lines[0], want) {
-			t.Fatalf("line %q missing %q", lines[0], want)
-		}
-	}
-}
-
 func TestConcurrentInstrumentUse(t *testing.T) {
 	r := NewRegistry()
 	log := NewSpanLog(16)

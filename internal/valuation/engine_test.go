@@ -431,3 +431,21 @@ func TestOracleUtilityErrorMessageNamesLimit(t *testing.T) {
 		t.Fatalf("error %q does not name the %s-participant limit", err, want)
 	}
 }
+
+// TestUtilityCacheHitZeroAlloc pins the cache-hit contract: serving a
+// cached utility — the operation every permutation walker repeats
+// thousands of times — allocates nothing.
+func TestUtilityCacheHitZeroAlloc(t *testing.T) {
+	o := newSyntheticOracle(8, syntheticUtility)
+	const mask = uint64(0b1011)
+	if _, err := o.Utility(mask); err != nil { // fill the cache
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := o.Utility(mask); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("cache-hit Utility allocates %v/op, want 0", n)
+	}
+}

@@ -24,14 +24,6 @@ type Obs struct {
 	TrainSeconds *telemetry.Histogram
 	// BatchSeconds times one EvalBatch call end-to-end.
 	BatchSeconds *telemetry.Histogram
-	// CheckpointRestored counts utilities seeded into the cache by
-	// AttachCheckpoint — trainings a resumed run did NOT repeat.
-	CheckpointRestored *telemetry.Counter
-	// CheckpointWrites counts utilities durably recorded to the checkpoint.
-	CheckpointWrites *telemetry.Counter
-	// CheckpointSkipped counts restored records rejected at attach time
-	// (masks outside the federation).
-	CheckpointSkipped *telemetry.Counter
 }
 
 // inertObs is the shared no-op instrument set used when Oracle.Obs is nil:
@@ -50,11 +42,5 @@ func NewObs(r *telemetry.Registry) *Obs {
 			"one coalition FedAvg training + evaluation", nil),
 		BatchSeconds: r.Histogram("ctfl_valuation_batch_seconds",
 			"one EvalBatch plan evaluated end-to-end", nil),
-		CheckpointRestored: r.Counter("ctfl_valuation_checkpoint_restored_total",
-			"coalition utilities restored from a checkpoint at attach time"),
-		CheckpointWrites: r.Counter("ctfl_valuation_checkpoint_writes_total",
-			"coalition utilities durably recorded to the checkpoint"),
-		CheckpointSkipped: r.Counter("ctfl_valuation_checkpoint_skipped_total",
-			"checkpoint records rejected at attach time (foreign federation size)"),
 	}
 }

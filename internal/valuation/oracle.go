@@ -77,10 +77,6 @@ type Oracle struct {
 	evals atomic.Int64
 	hits  atomic.Int64
 
-	// ckpt, when attached, durably records every cache fill so a killed run
-	// resumes without recomputation. See AttachCheckpoint.
-	ckpt *Checkpoint
-
 	// Obs receives engine telemetry; nil disables all of it (every
 	// instrument is a nil-safe no-op).
 	Obs *Obs
@@ -241,11 +237,6 @@ func (o *Oracle) Utility(mask uint64) (float64, error) {
 	delete(sh.inflight, mask)
 	sh.mu.Unlock()
 	close(c.done)
-	if c.err == nil && o.ckpt != nil {
-		if o.ckpt.record(mask, c.val) {
-			o.obs().CheckpointWrites.Inc()
-		}
-	}
 	return c.val, c.err
 }
 

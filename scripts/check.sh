@@ -16,6 +16,18 @@ if [[ "${1:-}" == "chaos" ]]; then
     exit 0
 fi
 
+# pin runs one zero-alloc pin test and fails unless that test ran and
+# passed: a -run pattern that names no test still prints PASS and exits 0.
+pin() {
+    local test="$1" pkg="$2" out
+    out="$(go test -run="^${test}\$" -count=1 -v "$pkg")" || { echo "$out"; return 1; }
+    grep -E 'PASS|FAIL|allocates' <<<"$out"
+    if ! grep -qF -- "--- PASS: ${test} (" <<<"$out"; then
+        echo "FAIL: pin ${test} did not run in ${pkg}"
+        return 1
+    fi
+}
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -42,17 +54,17 @@ echo "== go test ./... (full suite)"
 go test ./...
 
 echo "== zero-alloc pins (training hot loop; disabled fault injector; cached utility)"
-go test -run=TestTrainInnerLoopZeroAlloc -count=1 -v ./internal/nn/ | grep -E 'PASS|FAIL|allocates'
-go test -run=TestDisabledInjectorZeroAlloc -count=1 -v ./internal/faults/ | grep -E 'PASS|FAIL|allocates'
-go test -run=TestUtilityCacheHitZeroAlloc -count=1 -v ./internal/valuation/ | grep -E 'PASS|FAIL|allocates'
+pin TestTrainInnerLoopZeroAlloc ./internal/nn/
+pin TestDisabledInjectorZeroAlloc ./internal/faults/
+pin TestUtilityCacheHitZeroAlloc ./internal/valuation/
 
 echo "== zero-alloc pins (wire-protocol ingest + predict hot paths)"
-go test -run=TestValidateUploadFrameZeroAlloc -count=1 -v ./internal/protocol/ | grep -E 'PASS|FAIL|allocates'
-go test -run=TestValidateRoundUpdateFrameZeroAlloc -count=1 -v ./internal/protocol/ | grep -E 'PASS|FAIL|allocates'
-go test -run=TestBinarizedScoreBatchZeroAlloc -count=1 -v ./internal/nn/ | grep -E 'PASS|FAIL|allocates'
+pin TestValidateUploadFrameZeroAlloc ./internal/protocol/
+pin TestValidateRoundUpdateFrameZeroAlloc ./internal/protocol/
+pin TestBinarizedScoreBatchZeroAlloc ./internal/nn/
 
 echo "== zero-alloc pin (flight recorder steady state)"
-go test -run=TestRecordSteadyStateZeroAlloc -count=1 -v ./internal/flight/ | grep -E 'PASS|FAIL|allocates'
+pin TestRecordSteadyStateZeroAlloc ./internal/flight/
 
 echo "== fuzz smoke (wire-protocol decoders, 3s each)"
 for tgt in FuzzReadUpload FuzzParseFrame FuzzPredictRequest FuzzTraceResult FuzzRoundUpdate FuzzScoresSnapshot FuzzFlightEvents FuzzWALSegment; do
