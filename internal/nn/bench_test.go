@@ -86,6 +86,20 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkCountCorrect measures the streaming valuation engine's
+// per-coalition scorer shape: one model scoring a fixed evaluation set,
+// called repeatedly.
+func BenchmarkCountCorrect(b *testing.B) {
+	xs, ys := benchData(1000, 80, 2)
+	m := benchModel(b, 80)
+	m.TrainEpochs(xs[:500], ys[:500], 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = m.CountCorrect(xs, ys)
+	}
+}
+
 // BenchmarkScoreAndActivations measures the batched score+activation pass
 // feeding the tracer.
 func BenchmarkScoreAndActivations(b *testing.B) {

@@ -8,11 +8,12 @@ import (
 // Binarized is a compiled snapshot of the deployed (binarized) model: each
 // logical node keeps only the input indices its weight selects (w > 0.5), so
 // evaluation is pure boolean logic — no float products over the full input
-// width. Over {0,1} inputs (which is all the predicate encoder ever emits)
-// its scores and rule activations are bit-identical to
-// Model.forward(x, true, ...): conjunction/disjunction of binary inputs
-// equals the discrete soft-logic product, and the head sum skips exactly
-// the zero terms, which cannot change an IEEE sum.
+// width. It takes its selections from the same compiled snapshot as the
+// Model's discrete entry points, and over {0,1} inputs (which is all the
+// predicate encoder ever emits) its scores and rule activations are
+// bit-identical to theirs: conjunction/disjunction of binary inputs equals
+// the discrete soft-logic product, and the head sum skips exactly the zero
+// terms, which cannot change an IEEE sum.
 // TestPropertyBinarizedMatchesForward pins the equivalence down on random
 // models.
 //
@@ -56,16 +57,15 @@ func (m *Model) Binarize() *Binarized {
 		headB:   m.flat[len(m.flat)-1],
 		workers: m.workerCount(),
 	}
+	// A fresh (unpooled) snapshot: the nodes keep views into its slab.
+	var d discSnap
+	m.compileInto(&d)
+	ni := 0
 	for _, l := range m.layers {
 		bl := binLayer{nodes: make([]binNode, l.size())}
-		for n := 0; n < l.size(); n++ {
-			node := binNode{conj: l.nodeKind(n) == nodeConj}
-			for i, w := range l.row(n) {
-				if w > 0.5 {
-					node.sel = append(node.sel, int32(i))
-				}
-			}
-			bl.nodes[n] = node
+		for n := range bl.nodes {
+			bl.nodes[n] = binNode{conj: l.nodeKind(n) == nodeConj, sel: d.node(ni)}
+			ni++
 		}
 		b.layers = append(b.layers, bl)
 	}

@@ -144,16 +144,14 @@ type Model struct {
 
 	opt *adamState
 
-	// disc is the per-batch compilation of the binarized structure used by
-	// the grafted discrete forward pass; see compileDiscrete. Rebuilt at the
-	// start of every batch (weights are fixed within one), storage reused.
-	disc discSnap
-
 	// bufPool and gradPool recycle forward/backprop scratch buffers across
 	// calls, so steady-state batch work allocates nothing. Buffers depend
 	// only on the (immutable) model shape, so pooled entries never go stale.
+	// snapPool recycles discSnap storage; a snapshot is recompiled on every
+	// use, so its contents never go stale either.
 	bufPool  sync.Pool
 	gradPool sync.Pool
+	snapPool sync.Pool
 
 	// hooks observes training per epoch; nil (the default) keeps the
 	// training loop free of any telemetry work. See SetTrainHooks.
@@ -262,62 +260,25 @@ func (m *Model) getBuffers() *fwdBuffers {
 
 func (m *Model) putBuffers(b *fwdBuffers) { m.bufPool.Put(b) }
 
-// forward computes the score of x. When discrete is true the logical
-// weights are binarized at 0.5 (the deployed model); otherwise the soft
-// continuous activations of Eq. 7 are used. Returns the pre-sigmoid score.
-func (m *Model) forward(x []float64, discrete bool, b *fwdBuffers) float64 {
-	if len(x) != m.inDim {
-		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), m.inDim))
-	}
-	ri := 0
-	for k, l := range m.layers {
-		var in []float64
-		if k == 0 {
-			// Alias the caller's input instead of copying: the buffer entry is
-			// only ever read (backprop partials), never written through.
-			in = x
-			b.layerIn[0] = x
-		} else {
-			in = b.layerIn[k]
-			copy(in, x)
-			copy(in[m.inDim:], b.layerOut[k-1])
-		}
-		out := b.layerOut[k]
-		for n := 0; n < l.size(); n++ {
-			w := l.row(n)
-			if l.nodeKind(n) == nodeConj {
-				out[n] = conjForward(in, w, discrete)
-			} else {
-				out[n] = disjForward(in, w, discrete)
-			}
-		}
-		copy(b.rules[ri:ri+l.size()], out)
-		ri += l.size()
-	}
-	s := m.flat[len(m.flat)-1]
-	for j, r := range b.rules {
-		s += m.headW[j] * r
-	}
-	return s
-}
-
 // discSnap is a compiled snapshot of the binarized network structure: per
 // logical node, the input indices its weight selects (w > 0.5), concatenated
-// into one slab. The grafted discrete forward walks only these indices
-// instead of scanning every weight for every sample — identical multiply /
-// early-exit order to conjForward/disjForward's discrete loops (which also
-// touch only selected elements), so the scores are bit-identical.
+// into one slab. It is the single place the model decides which weights are
+// selected: the discrete entry points, grafted training, Binarize and
+// RuleSpecs all read their selections from it. Weights are fixed for the
+// lifetime of one snapshot, so it is compiled once per call (or per batch,
+// in grafted training) and shared read-only by every worker of that call.
 type discSnap struct {
 	sel []int32 // concatenated selected indices, per node
 	off []int32 // node -> [off[n], off[n+1]) into sel; len = ruleDim+1
 }
 
-// compileDiscrete rebuilds the discrete snapshot from the current weights.
-// Called once per batch by batchGrad; amortizes the full weight scan over
-// every sample of the batch. Steady-state it allocates nothing (the slab is
-// reused and only regrows while binarization is still selecting new weights).
-func (m *Model) compileDiscrete() {
-	d := &m.disc
+// node returns global node ni's selected input indices.
+func (d *discSnap) node(ni int) []int32 { return d.sel[d.off[ni]:d.off[ni+1]] }
+
+// compileInto rebuilds d from the current weights. Once d's slab has grown
+// to the selection size it allocates nothing: the slab is reused and only
+// regrows while binarization is still selecting new weights.
+func (m *Model) compileInto(d *discSnap) {
 	d.sel = d.sel[:0]
 	if d.off == nil {
 		d.off = make([]int32, m.ruleDim+1)
@@ -336,20 +297,36 @@ func (m *Model) compileDiscrete() {
 	}
 }
 
-// forwardDiscrete computes forward(x, true, b) using the compiled snapshot.
-// The per-node products run over the same selected indices in the same
-// ascending order as the discrete conjForward/disjForward loops, with the
-// same early exits, so every output bit matches.
-func (m *Model) forwardDiscrete(x []float64, b *fwdBuffers) float64 {
+// compile returns a pooled snapshot of the current weights; release it with
+// putSnap once the call that compiled it is done evaluating.
+func (m *Model) compile() *discSnap {
+	d, _ := m.snapPool.Get().(*discSnap)
+	if d == nil {
+		d = new(discSnap)
+	}
+	m.compileInto(d)
+	return d
+}
+
+func (m *Model) putSnap(d *discSnap) { m.snapPool.Put(d) }
+
+// forwardDiscrete computes the deployed (binarized) model's pre-sigmoid
+// score of x, walking only the indices snapshot d selects. Every node's
+// product runs over the selected inputs in ascending order with early
+// exits, so unselected weights cost nothing; the result is bit-identical to
+// a dense scan that tests w > 0.5 at every weight (the reference kept in
+// equivalence_test.go, pinned by TestPropertyCompiledMatchesDense).
+func (m *Model) forwardDiscrete(x []float64, d *discSnap, b *fwdBuffers) float64 {
 	if len(x) != m.inDim {
 		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), m.inDim))
 	}
-	d := &m.disc
 	ni := 0
 	ri := 0
 	for k, l := range m.layers {
 		var in []float64
 		if k == 0 {
+			// Alias the caller's input instead of copying: the buffer entry is
+			// only ever read, never written through.
 			in = x
 			b.layerIn[0] = x
 		} else {
@@ -359,14 +336,14 @@ func (m *Model) forwardDiscrete(x []float64, b *fwdBuffers) float64 {
 		}
 		out := b.layerOut[k]
 		for n := 0; n < l.size(); n++ {
-			sel := d.sel[d.off[ni]:d.off[ni+1]]
+			sel := d.node(ni)
 			ni++
 			if l.nodeKind(n) == nodeConj {
 				p := 1.0
 				for _, i := range sel {
 					p *= in[i]
 					if p == 0 {
-						p = 0 // conjForward returns literal 0 (+0.0) here
+						p = 0 // normalize a -0 product to +0
 						break
 					}
 				}
@@ -392,53 +369,14 @@ func (m *Model) forwardDiscrete(x []float64, b *fwdBuffers) float64 {
 	return s
 }
 
-// conjForward computes Conj(x,w) = prod_i (1 - w_i (1 - x_i)). The discrete
-// and continuous loops are split so the mode test is hoisted out of the hot
-// loop; the continuous body stays branch-free (data-dependent skips
-// mispredict on real data and cost more than the multiply they save).
-func conjForward(x, w []float64, discrete bool) float64 {
-	p := 1.0
-	if discrete {
-		for i, xi := range x {
-			if w[i] > 0.5 {
-				p *= xi
-				if p == 0 {
-					return 0
-				}
-			}
-		}
-		return p
-	}
-	for i, xi := range x {
-		p *= 1 - w[i]*(1-xi)
-	}
-	return p
-}
-
-// disjForward computes Disj(x,w) = 1 - prod_i (1 - x_i w_i); loop split as
-// in conjForward.
-func disjForward(x, w []float64, discrete bool) float64 {
-	p := 1.0
-	if discrete {
-		for i, xi := range x {
-			if w[i] > 0.5 && xi > 0 {
-				return 1
-			}
-		}
-		return 1 - p
-	}
-	for i, xi := range x {
-		p *= 1 - xi*w[i]
-	}
-	return 1 - p
-}
-
 // Score returns the deployed (binarized) model's pre-threshold score for x:
 // positive score means the positive class wins the rule vote of Eq. 3.
 func (m *Model) Score(x []float64) float64 {
+	d := m.compile()
 	b := m.getBuffers()
-	s := m.forward(x, true, b)
+	s := m.forwardDiscrete(x, d, b)
 	m.putBuffers(b)
+	m.putSnap(d)
 	return s
 }
 
@@ -453,13 +391,15 @@ func (m *Model) Predict(x []float64) int {
 // PredictBatch labels every row of xs using parallel workers.
 func (m *Model) PredictBatch(xs [][]float64) []int {
 	out := make([]int, len(xs))
+	d := m.compile()
 	m.parallelOver(len(xs), func(lo, hi int, buf *fwdBuffers) {
 		for i := lo; i < hi; i++ {
-			if m.forward(xs[i], true, buf) >= 0 {
+			if m.forwardDiscrete(xs[i], d, buf) >= 0 {
 				out[i] = 1
 			}
 		}
 	})
+	m.putSnap(d)
 	return out
 }
 
@@ -473,11 +413,12 @@ func (m *Model) Accuracy(xs [][]float64, ys []int) float64 {
 		return 0
 	}
 	var ok atomic.Int64
+	d := m.compile()
 	m.parallelOver(len(xs), func(lo, hi int, buf *fwdBuffers) {
 		n := 0
 		for i := lo; i < hi; i++ {
 			p := 0
-			if m.forward(xs[i], true, buf) >= 0 {
+			if m.forwardDiscrete(xs[i], d, buf) >= 0 {
 				p = 1
 			}
 			if p == ys[i] {
@@ -486,6 +427,7 @@ func (m *Model) Accuracy(xs [][]float64, ys []int) float64 {
 		}
 		ok.Add(int64(n))
 	})
+	m.putSnap(d)
 	return float64(ok.Load()) / float64(len(xs))
 }
 
@@ -495,11 +437,12 @@ func (m *Model) Accuracy(xs [][]float64, ys []int) float64 {
 // per-coalition scorer, where concurrency already lives above the model and
 // any per-call allocation multiplies across thousands of evaluations.
 func (m *Model) CountCorrect(xs [][]float64, ys []int) int {
+	d := m.compile()
 	buf := m.getBuffers()
 	ok := 0
 	for i, x := range xs {
 		p := 0
-		if m.forward(x, true, buf) >= 0 {
+		if m.forwardDiscrete(x, d, buf) >= 0 {
 			p = 1
 		}
 		if p == ys[i] {
@@ -507,6 +450,7 @@ func (m *Model) CountCorrect(xs [][]float64, ys []int) int {
 		}
 	}
 	m.putBuffers(buf)
+	m.putSnap(d)
 	return ok
 }
 
@@ -517,10 +461,12 @@ func (m *Model) RuleActivations(x []float64, dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, m.ruleDim)
 	}
+	d := m.compile()
 	b := m.getBuffers()
-	m.forward(x, true, b)
+	m.forwardDiscrete(x, d, b)
 	copy(dst, b.rules)
 	m.putBuffers(b)
+	m.putSnap(d)
 	return dst
 }
 
@@ -534,14 +480,16 @@ func (m *Model) ScoreAndActivationsBatch(xs [][]float64) (scores []float64, acts
 	// One contiguous slab for all activation rows keeps the result cache
 	// friendly and cuts per-row allocations.
 	slab := make([]float64, len(xs)*m.ruleDim)
+	d := m.compile()
 	m.parallelOver(len(xs), func(lo, hi int, buf *fwdBuffers) {
 		for i := lo; i < hi; i++ {
-			scores[i] = m.forward(xs[i], true, buf)
+			scores[i] = m.forwardDiscrete(xs[i], d, buf)
 			row := slab[i*m.ruleDim : (i+1)*m.ruleDim : (i+1)*m.ruleDim]
 			copy(row, buf.rules)
 			acts[i] = row
 		}
 	})
+	m.putSnap(d)
 	return scores, acts
 }
 
@@ -558,15 +506,17 @@ type RuleSpec struct {
 // RuleSpecs enumerates every logical node's binarized structure, in rule
 // vector order (layer by layer).
 func (m *Model) RuleSpecs() []RuleSpec {
+	d := m.compile()
+	defer m.putSnap(d)
 	var specs []RuleSpec
+	ni := 0
 	for k, l := range m.layers {
 		for n := 0; n < l.size(); n++ {
 			spec := RuleSpec{Layer: k, Node: n, Conj: l.nodeKind(n) == nodeConj}
-			for i, w := range l.row(n) {
-				if w > 0.5 {
-					spec.Selected = append(spec.Selected, i)
-				}
+			for _, i := range d.node(ni) {
+				spec.Selected = append(spec.Selected, int(i))
 			}
+			ni++
 			specs = append(specs, spec)
 		}
 	}

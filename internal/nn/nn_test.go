@@ -157,6 +157,25 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
+// TestCountCorrectZeroAlloc pins CountCorrect at zero allocations once its
+// pools are warm: the streaming valuation engine calls it once per
+// coalition, so any per-call allocation multiplies across every round.
+func TestCountCorrectZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops cached buffers under -race")
+	}
+	xs, ys := benchData(256, 40, 5)
+	m, err := New(40, Config{Hidden: []int{16, 8}, Grafting: true, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.TrainEpochs(xs, ys, 2)
+	m.CountCorrect(xs, ys) // warm the buffer and snapshot pools
+	if n := testing.AllocsPerRun(50, func() { m.CountCorrect(xs, ys) }); n != 0 {
+		t.Fatalf("CountCorrect allocates %v per call, want 0", n)
+	}
+}
+
 func TestRuleActivationsMatchSpecs(t *testing.T) {
 	m, _ := New(6, Config{Hidden: []int{8}, Seed: 9})
 	// Force a known structure: node 0 (conj) selects inputs 0,1; node 4
@@ -220,7 +239,7 @@ func TestGradientCheck(t *testing.T) {
 	y := 1
 
 	gb := m.newGradBuffers()
-	m.backprop(x, y, false, gb)
+	m.backprop(x, y, nil, gb)
 	analytic := gb.grad
 
 	loss := func(params []float64) float64 {
@@ -266,7 +285,7 @@ func TestGradientCheckTwoLayers(t *testing.T) {
 	y := 0
 
 	gb := m.newGradBuffers()
-	m.backprop(x, y, false, gb)
+	m.backprop(x, y, nil, gb)
 	analytic := append([]float64(nil), gb.grad...)
 
 	loss := func(params []float64) float64 {
@@ -339,11 +358,14 @@ func TestConjBackwardZeroFactorHandling(t *testing.T) {
 	gw := make([]float64, 3)
 	gx := make([]float64, 3)
 	fbuf := make([]float64, 3)
-	_, prodNZ, zeros, zeroIdx := conjForwardTrain(x, w, fbuf)
+	m, _ := New(3, Config{Hidden: []int{2}})
+	gb := m.newGradBuffers()
+	m.factorLists(x, gb)
+	_, prodNZ, zeros, zeroIdx := conjForwardTrain(x, w, fbuf, gb.cidx[0])
 	if zeros != 1 || zeroIdx != 0 {
 		t.Fatalf("scan found zeros=%d zeroIdx=%d, want 1 at 0", zeros, zeroIdx)
 	}
-	conjBackward(x, w, 1, gw, gx, 0, fbuf, prodNZ, zeros, zeroIdx)
+	conjBackward(x, w, 1, gw, gx, 0, fbuf, gb.cidx[0], prodNZ, zeros, zeroIdx)
 	// d out / d w_0 = -(1-x0) * F1*F2 = -(1)*(1*1) = -1
 	if math.Abs(gw[0]+1) > 1e-9 {
 		t.Fatalf("gw[0] = %v, want -1", gw[0])
@@ -354,7 +376,9 @@ func TestConjBackwardZeroFactorHandling(t *testing.T) {
 	}
 	// Two zero factors: every partial is zero, so backprop skips the node
 	// entirely — the scan must report the count that triggers that skip.
-	_, _, zeros2, _ := conjForwardTrain([]float64{0, 0, 1}, []float64{1, 1, 0.5}, fbuf)
+	x2 := []float64{0, 0, 1}
+	m.factorLists(x2, gb)
+	_, _, zeros2, _ := conjForwardTrain(x2, []float64{1, 1, 0.5}, fbuf, gb.cidx[0])
 	if zeros2 != 2 {
 		t.Fatalf("double-zero case: scan found %d zero factors, want 2", zeros2)
 	}
@@ -367,8 +391,11 @@ func TestDisjBackwardZeroFactorHandling(t *testing.T) {
 	gw := make([]float64, 3)
 	gx := make([]float64, 3)
 	fbuf := make([]float64, 3)
-	_, prodNZ, zeros, zeroIdx := disjForwardTrain(x, w, fbuf)
-	disjBackward(x, w, 1, gw, gx, 0, fbuf, prodNZ, zeros, zeroIdx)
+	m, _ := New(3, Config{Hidden: []int{2}})
+	gb := m.newGradBuffers()
+	m.factorLists(x, gb)
+	_, prodNZ, zeros, zeroIdx := disjForwardTrain(x, w, fbuf, gb.didx[0])
+	disjBackward(x, w, 1, gw, gx, 0, fbuf, gb.didx[0], prodNZ, zeros, zeroIdx)
 	// d out/d w_0 = x0 * G1*G2 = 1 * (1)*(0.75) = 0.75
 	if math.Abs(gw[0]-0.75) > 1e-9 {
 		t.Fatalf("gw[0] = %v, want 0.75", gw[0])
@@ -398,9 +425,10 @@ func BenchmarkForwardDiscrete(b *testing.B) {
 		}
 	}
 	buf := m.newBuffers()
+	disc := m.compile()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.forward(x, true, buf)
+		_ = m.forwardDiscrete(x, disc, buf)
 	}
 }
 
@@ -413,8 +441,9 @@ func BenchmarkBackprop(b *testing.B) {
 		}
 	}
 	gb := m.newGradBuffers()
+	disc := m.compile()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.backprop(x, 1, true, gb)
+		m.backprop(x, 1, disc, gb)
 	}
 }

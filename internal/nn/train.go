@@ -73,6 +73,16 @@ type gradBuffers struct {
 	pnz   []float64
 	nzero []int32
 	zidx  []int32
+	// cidx[k]/didx[k] list, in ascending order, the layer-k input indices
+	// the conjunction/disjunction kernels visit for the current sample; see
+	// factorLists. Capacity l.inDim, refilled per sample.
+	cidx [][]int32
+	didx [][]int32
+	// disc holds a grafted batch's compiled binarized structure. batchGrad
+	// compiles it into the first worker's buffers and shares it read-only
+	// with the rest; it lives here rather than in the snapshot pool so the
+	// training loop stays allocation-free even where the pool drops items.
+	disc discSnap
 }
 
 func (m *Model) newGradBuffers() *gradBuffers {
@@ -81,6 +91,8 @@ func (m *Model) newGradBuffers() *gradBuffers {
 		gb.gOut = append(gb.gOut, make([]float64, l.size()))
 		gb.gIn = append(gb.gIn, make([]float64, l.inDim))
 		gb.fmat = append(gb.fmat, make([]float64, l.size()*l.inDim))
+		gb.cidx = append(gb.cidx, make([]int32, 0, l.inDim))
+		gb.didx = append(gb.didx, make([]int32, 0, l.inDim))
 	}
 	gb.pnz = make([]float64, m.ruleDim)
 	gb.nzero = make([]int32, m.ruleDim)
@@ -110,15 +122,16 @@ func sigmoid(s float64) float64 {
 // sample. With grafting, the loss derivative is evaluated at the *binarized*
 // model's score while the parameter partials come from the continuous
 // forward pass — the paper's gradient grafting rule
-// θ^{t+1} = θ^t − η ∂L(Ȳ)/∂Ȳ · ∂Y/∂θ^t. It returns the sample loss.
-func (m *Model) backprop(x []float64, y int, grafting bool, gb *gradBuffers) float64 {
+// θ^{t+1} = θ^t − η ∂L(Ȳ)/∂Ȳ · ∂Y/∂θ^t. Grafting is on when disc (the
+// batch's compiled binarized structure) is non-nil. It returns the sample
+// loss.
+func (m *Model) backprop(x []float64, y int, disc *discSnap, gb *gradBuffers) float64 {
 	// Continuous forward fills gb.fwd with the activations used for partials
 	// and caches every per-element factor for the backward kernels.
 	sCont := m.forwardTrain(x, gb)
 	sUsed := sCont
-	if grafting {
-		// batchGrad compiled the discrete structure for this batch.
-		sUsed = m.forwardDiscrete(x, gb.fwdD)
+	if disc != nil {
+		sUsed = m.forwardDiscrete(x, disc, gb.fwdD)
 	}
 	p := sigmoid(sUsed)
 	dLds := p - float64(y)
@@ -176,9 +189,9 @@ func (m *Model) backprop(x []float64, y int, grafting bool, gb *gradBuffers) flo
 				continue // every partial product contains a zero factor
 			}
 			if l.nodeKind(n) == nodeConj {
-				conjBackward(in, w, g, gb.grad[base:base+l.inDim], gIn, gxFrom, fb, prodNZ, zeros, zeroIdx)
+				conjBackward(in, w, g, gb.grad[base:base+l.inDim], gIn, gxFrom, fb, gb.cidx[k], prodNZ, zeros, zeroIdx)
 			} else {
-				disjBackward(in, w, g, gb.grad[base:base+l.inDim], gIn, gxFrom, fb, prodNZ, zeros, zeroIdx)
+				disjBackward(in, w, g, gb.grad[base:base+l.inDim], gIn, gxFrom, fb, gb.didx[k], prodNZ, zeros, zeroIdx)
 			}
 		}
 		if k > 0 {
@@ -208,17 +221,19 @@ func layerNodeBase(m *Model, k int) int {
 	return b
 }
 
-// forwardTrain is the continuous forward pass used by backprop. It computes
-// exactly the same score as forward(x, false, gb.fwd) — identical factor
-// expressions multiplied in identical order — while additionally caching,
-// per node, every factor (gb.fmat), the product of its non-near-zero
-// factors (gb.pnz) and the near-zero bookkeeping (gb.nzero/gb.zidx) the
-// backward kernels need, so the backward pass does no factor recomputation
-// or rescanning at all.
+// forwardTrain is the continuous forward pass used by backprop: the soft
+// activations of Eq. 7, Conj = prod_i (1 - w_i (1 - x_i)) and
+// Disj = 1 - prod_i (1 - x_i w_i). Besides the score it caches, per node,
+// every visited factor (gb.fmat), the product of its non-near-zero factors
+// (gb.pnz) and the near-zero bookkeeping (gb.nzero/gb.zidx) the backward
+// kernels need, so the backward pass does no factor recomputation or
+// rescanning at all. Factors are multiplied in ascending input order; the
+// ones factorLists proves exactly 1 are skipped, which changes no bit.
 func (m *Model) forwardTrain(x []float64, gb *gradBuffers) float64 {
 	if len(x) != m.inDim {
 		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), m.inDim))
 	}
+	m.factorLists(x, gb)
 	b := gb.fwd
 	ni := 0
 	ri := 0
@@ -240,9 +255,9 @@ func (m *Model) forwardTrain(x []float64, gb *gradBuffers) float64 {
 			var p, prodNZ float64
 			var zeros, zeroIdx int32
 			if l.nodeKind(n) == nodeConj {
-				p, prodNZ, zeros, zeroIdx = conjForwardTrain(in, w, fb)
+				p, prodNZ, zeros, zeroIdx = conjForwardTrain(in, w, fb, gb.cidx[k])
 			} else {
-				p, prodNZ, zeros, zeroIdx = disjForwardTrain(in, w, fb)
+				p, prodNZ, zeros, zeroIdx = disjForwardTrain(in, w, fb, gb.didx[k])
 				p = 1 - p
 			}
 			out[n] = p
@@ -261,21 +276,58 @@ func (m *Model) forwardTrain(x []float64, gb *gradBuffers) float64 {
 	return s
 }
 
-// conjForwardTrain is conjForward's continuous loop fused with the backward
-// pass's factor caching and zero-scan. p is the node output (bit-identical
-// to conjForward); prodNZ is the product of factors at least prodZeroEps in
-// magnitude (the same skip rule and multiply order the backward scan used).
-func conjForwardTrain(x, w, fbuf []float64) (p, prodNZ float64, zeros, zeroIdx int32) {
+// factorLists fills gb.cidx/gb.didx with, per layer, the input indices
+// whose factor can differ from exactly 1: over the raw input x, the i with
+// x_i != 1 for conjunctions and the i with x_i != 0 for disjunctions,
+// followed by the whole skip-concat tail [inDim, len(in)) of layers k > 0.
+//
+// Skipping the others changes no output bit, whatever the input values
+// (for finite weights): their factors 1 - w*(1-1) and 1 - 0*w are exactly
+// 1.0, so leaving them out of a product changes nothing, and their weight
+// gradient terms g*-(1-1)*partial and g*0*partial are ±0, which leaves
+// unchanged a gradient accumulator that starts at +0 (a round-to-nearest
+// sum is -0 only if both operands are). Only the x-head is filtered: the
+// tail carries input gradients, which are non-zero even where its factor
+// is 1. TestPropertySparseKernelsMatchDense and
+// TestPropertyBackpropMatchesDense pin this against the dense kernels.
+func (m *Model) factorLists(x []float64, gb *gradBuffers) {
+	c, d := gb.cidx[0][:0], gb.didx[0][:0]
+	for i, xi := range x {
+		if xi != 1 {
+			c = append(c, int32(i))
+		}
+		if xi != 0 {
+			d = append(d, int32(i))
+		}
+	}
+	gb.cidx[0], gb.didx[0] = c, d
+	for k := 1; k < len(m.layers); k++ {
+		c = append(gb.cidx[k][:0], gb.cidx[0]...)
+		d = append(gb.didx[k][:0], gb.didx[0]...)
+		for i := m.inDim; i < m.layers[k].inDim; i++ {
+			c = append(c, int32(i))
+			d = append(d, int32(i))
+		}
+		gb.cidx[k], gb.didx[k] = c, d
+	}
+}
+
+// conjForwardTrain computes a conjunction node's raw product over the
+// visited indices idx (see factorLists), fused with the backward pass's
+// factor caching and zero-scan. p is the node output; prodNZ is the product
+// of factors at least prodZeroEps in magnitude; zeros counts the others and
+// zeroIdx is the last of them. Only fbuf[i] for i in idx is written.
+func conjForwardTrain(x, w, fbuf []float64, idx []int32) (p, prodNZ float64, zeros, zeroIdx int32) {
 	p = 1.0
 	prodNZ = 1.0
 	zeroIdx = -1
-	for i, xi := range x {
-		f := 1 - w[i]*(1-xi)
+	for _, i := range idx {
+		f := 1 - w[i]*(1-x[i])
 		fbuf[i] = f
 		p *= f
 		if math.Abs(f) < prodZeroEps {
 			zeros++
-			zeroIdx = int32(i)
+			zeroIdx = i
 			continue
 		}
 		prodNZ *= f
@@ -285,18 +337,18 @@ func conjForwardTrain(x, w, fbuf []float64) (p, prodNZ float64, zeros, zeroIdx i
 
 // disjForwardTrain mirrors conjForwardTrain for disjunction factors
 // G_i = 1 - x_i w_i. It returns the raw product p (the caller computes the
-// node output 1-p, matching disjForward bit-for-bit).
-func disjForwardTrain(x, w, fbuf []float64) (p, prodNZ float64, zeros, zeroIdx int32) {
+// node output 1-p).
+func disjForwardTrain(x, w, fbuf []float64, idx []int32) (p, prodNZ float64, zeros, zeroIdx int32) {
 	p = 1.0
 	prodNZ = 1.0
 	zeroIdx = -1
-	for i, xi := range x {
-		f := 1 - xi*w[i]
+	for _, i := range idx {
+		f := 1 - x[i]*w[i]
 		fbuf[i] = f
 		p *= f
 		if math.Abs(f) < prodZeroEps {
 			zeros++
-			zeroIdx = int32(i)
+			zeroIdx = i
 			continue
 		}
 		prodNZ *= f
@@ -308,21 +360,19 @@ func disjForwardTrain(x, w, fbuf []float64) (p, prodNZ float64, zeros, zeroIdx i
 // out = prod_i F_i, F_i = 1 - w_i (1 - x_i);
 // d out/d w_i = -(1-x_i) * prod_{j≠i} F_j; d out/d x_i = w_i * prod_{j≠i} F_j.
 //
-// Input gradients are accumulated only for i >= gxFrom: the x-head of every
-// layer input is raw data whose gradient nothing reads (only the skip-concat
-// tail flows to the previous layer), and for the first layer that is the
-// whole vector. fbuf caches each factor from the zero-scan so the partials
-// loop never recomputes it.
+// It walks the same index list idx as conjForwardTrain: every skipped
+// index's weight gradient term is ±0 (see factorLists). Input gradients are
+// accumulated only for i >= gxFrom: the x-head of every layer input is raw
+// data whose gradient nothing reads (only the skip-concat tail flows to the
+// previous layer), and for the first layer that is the whole vector.
 //
 // The factors, their non-zero product and the zero bookkeeping all come
 // precomputed from forwardTrain (fbuf/prodNZ/zeros/zeroIdx); the caller has
-// already discarded nodes with more than one zero factor. The loops stay
-// branch-free on purpose: data-dependent skips (zero terms, factor-is-1
-// divisions) mispredict on real data and cost more than the arithmetic they
-// avoid. All work removed relative to the seed is structurally dead —
-// identical float expressions in identical order otherwise, which
-// TestPropertyFusedStepMatchesReference / TestGoldenTraining pin down.
-func conjBackward(x, w []float64, g float64, gw, gx []float64, gxFrom int, fbuf []float64, prodNZ float64, zeros, zeroIdx int32) {
+// already discarded nodes with more than one zero factor. The loops carry
+// no value-dependent branch on purpose: per-element skip tests mispredict
+// on real data and cost more than the arithmetic they avoid, which is why
+// exact-1 factors are dropped once per sample by the index list instead.
+func conjBackward(x, w []float64, g float64, gw, gx []float64, gxFrom int, fbuf []float64, idx []int32, prodNZ float64, zeros, zeroIdx int32) {
 	if zeros == 1 {
 		// Only the zero factor's own partial product survives.
 		i := zeroIdx
@@ -333,16 +383,16 @@ func conjBackward(x, w []float64, g float64, gw, gx []float64, gxFrom int, fbuf 
 		return
 	}
 	if gxFrom >= len(x) {
-		for i, f := range fbuf[:len(x)] {
-			partial := prodNZ / f
+		for _, i := range idx {
+			partial := prodNZ / fbuf[i]
 			gw[i] += g * -(1 - x[i]) * partial
 		}
 		return
 	}
-	for i, f := range fbuf[:len(x)] {
-		partial := prodNZ / f
+	for _, i := range idx {
+		partial := prodNZ / fbuf[i]
 		gw[i] += g * -(1 - x[i]) * partial
-		if i >= gxFrom {
+		if int(i) >= gxFrom {
 			gx[i] += g * w[i] * partial
 		}
 	}
@@ -351,8 +401,8 @@ func conjBackward(x, w []float64, g float64, gw, gx []float64, gxFrom int, fbuf 
 // disjBackward adds the disjunction node's weight and input gradients.
 // out = 1 - prod_i G_i, G_i = 1 - x_i w_i;
 // d out/d w_i = x_i * prod_{j≠i} G_j; d out/d x_i = w_i * prod_{j≠i} G_j.
-// Same precomputed-cache contract and branch-free structure as conjBackward.
-func disjBackward(x, w []float64, g float64, gw, gx []float64, gxFrom int, fbuf []float64, prodNZ float64, zeros, zeroIdx int32) {
+// Same index-list, precomputed-cache contract and structure as conjBackward.
+func disjBackward(x, w []float64, g float64, gw, gx []float64, gxFrom int, fbuf []float64, idx []int32, prodNZ float64, zeros, zeroIdx int32) {
 	if zeros == 1 {
 		i := zeroIdx
 		gw[i] += g * x[i] * prodNZ
@@ -362,16 +412,16 @@ func disjBackward(x, w []float64, g float64, gw, gx []float64, gxFrom int, fbuf 
 		return
 	}
 	if gxFrom >= len(x) {
-		for i, f := range fbuf[:len(x)] {
-			partial := prodNZ / f
+		for _, i := range idx {
+			partial := prodNZ / fbuf[i]
 			gw[i] += g * x[i] * partial
 		}
 		return
 	}
-	for i, f := range fbuf[:len(x)] {
-		partial := prodNZ / f
+	for _, i := range idx {
+		partial := prodNZ / fbuf[i]
 		gw[i] += g * x[i] * partial
-		if i >= gxFrom {
+		if int(i) >= gxFrom {
 			gx[i] += g * w[i] * partial
 		}
 	}
@@ -513,8 +563,10 @@ func (m *Model) batchGrad(xs [][]float64, ys []int, batch []int, gbs []*gradBuff
 		workers = len(batch)
 	}
 	inv := 1 / float64(len(batch))
+	var disc *discSnap
 	if m.cfg.Grafting {
-		m.compileDiscrete() // weights are fixed for the whole batch
+		disc = &gbs[0].disc
+		m.compileInto(disc) // weights are fixed for the whole batch
 	}
 
 	if workers <= 1 {
@@ -526,7 +578,7 @@ func (m *Model) batchGrad(xs [][]float64, ys []int, batch []int, gbs []*gradBuff
 		}
 		sum := 0.0
 		for _, s := range batch {
-			sum += m.backprop(xs[s], ys[s], m.cfg.Grafting, gb)
+			sum += m.backprop(xs[s], ys[s], disc, gb)
 		}
 		for i, g := range gb.grad {
 			grad[i] = g * inv
@@ -546,7 +598,10 @@ func (m *Model) batchGrad(xs [][]float64, ys []int, batch []int, gbs []*gradBuff
 			hi = len(batch)
 		}
 		wg.Add(1)
-		go func(wkr, lo, hi int) {
+		// disc is passed rather than captured: capturing the conditionally
+		// assigned variable would move it to the heap on every call, even
+		// on the single-worker path.
+		go func(wkr, lo, hi int, disc *discSnap) {
 			defer wg.Done()
 			gb := gbs[wkr]
 			for i := range gb.grad {
@@ -554,10 +609,10 @@ func (m *Model) batchGrad(xs [][]float64, ys []int, batch []int, gbs []*gradBuff
 			}
 			sum := 0.0
 			for _, s := range batch[lo:hi] {
-				sum += m.backprop(xs[s], ys[s], m.cfg.Grafting, gb)
+				sum += m.backprop(xs[s], ys[s], disc, gb)
 			}
 			losses[wkr] = sum
-		}(wkr, lo, hi)
+		}(wkr, lo, hi, disc)
 	}
 	wg.Wait()
 

@@ -63,6 +63,9 @@ pin TestValidateUploadFrameZeroAlloc ./internal/protocol/
 pin TestValidateRoundUpdateFrameZeroAlloc ./internal/protocol/
 pin TestBinarizedScoreBatchZeroAlloc ./internal/nn/
 
+echo "== zero-alloc pin (per-coalition scorer of the round stream)"
+pin TestCountCorrectZeroAlloc ./internal/nn/
+
 echo "== zero-alloc pin (flight recorder steady state)"
 pin TestRecordSteadyStateZeroAlloc ./internal/flight/
 
@@ -74,6 +77,8 @@ done
 echo "== bench smoke (1 iteration per hot-path benchmark)"
 go test -run=NONE -bench='BenchmarkTraceIndexed|BenchmarkTrainEpochs' -benchtime=1x \
     ./internal/core/ ./internal/nn/
+go test -run=NONE -bench='BenchmarkCountCorrect|BenchmarkPredictBatch' -benchtime=1x \
+    ./internal/nn/
 go test -run=NONE -bench='BenchmarkOracleBatch|BenchmarkSampledShapleyParallel' -benchtime=1x \
     ./internal/valuation/
 go test -run=NONE -bench='BenchmarkTraceResult|BenchmarkUploadIngest' -benchtime=1x \
