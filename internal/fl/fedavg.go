@@ -47,9 +47,11 @@ func (c TrainConfig) withDefaults() TrainConfig {
 // federation-agreed predicate encoding). It caches each participant's
 // encoded data by pointer identity, so repeated coalition training (the
 // baselines' hot loop) does not re-encode. Trainer is safe for concurrent
-// use: Train carries no cross-call mutable state beyond this cache, and the
-// cache deduplicates in-flight encodes (two goroutines training coalitions
-// that share a participant encode it once; the second waits).
+// use: its only mutable state is this cache, which deduplicates in-flight
+// encodes (two goroutines training coalitions that share a participant
+// encode it once; the second waits), and a counter. State shared across
+// Train calls beyond that lives in a caller-owned FirstRoundMemo passed to
+// TrainMemo.
 type Trainer struct {
 	enc *dataset.Encoder
 	cfg TrainConfig
@@ -59,6 +61,10 @@ type Trainer struct {
 	// encodes counts distinct EncodeTable executions; tests pin it to the
 	// participant count to prove the in-flight dedup works.
 	encodes atomic.Int64
+	// localTrains counts local client trainings (one per selected client
+	// per round, minus those a FirstRoundMemo served); tests pin it to prove
+	// the memo trains each participant's first round once.
+	localTrains atomic.Int64
 }
 
 type encoded struct {
@@ -105,11 +111,65 @@ func (tr *Trainer) encodedData(p *Participant) encoded {
 	return ent.e
 }
 
+// FirstRoundMemo shares each participant's round-0 local update across
+// every FedAvg run that includes it. Round 0 of any run starts from the
+// same seeded nn.New model (it depends only on the encoder width and
+// cfg.Model), and the local RNG seed comes from a fresh clone, so a
+// participant's unweighted round-0 parameters are the same whichever
+// coalition it trains in; the size weight and secure-aggregation masks are
+// applied afterwards, to a copy. A memo belongs to the trainer that made it
+// and is safe for concurrent use. Its lifetime is the caller's choice: one
+// coalition valuation shares one memo, while separate real trainings of the
+// same federation should not, so a benchmark repeating them still pays for
+// every run.
+type FirstRoundMemo struct {
+	tr *Trainer
+
+	mu sync.Mutex
+	m  map[*Participant]*memoEntry
+}
+
+// memoEntry is one participant's slot, claimed under the memo lock and
+// filled outside it, like encodeEntry.
+type memoEntry struct {
+	once   sync.Once
+	params []float64
+}
+
+// NewFirstRoundMemo returns an empty memo bound to tr.
+func (tr *Trainer) NewFirstRoundMemo() *FirstRoundMemo {
+	return &FirstRoundMemo{tr: tr, m: make(map[*Participant]*memoEntry)}
+}
+
+// params returns p's unweighted round-0 parameters, running train once per
+// participant however many goroutines ask. Callers must not modify the
+// returned slice.
+func (mm *FirstRoundMemo) params(p *Participant, train func() []float64) []float64 {
+	mm.mu.Lock()
+	ent, ok := mm.m[p]
+	if !ok {
+		ent = &memoEntry{}
+		mm.m[p] = ent
+	}
+	mm.mu.Unlock()
+	ent.once.Do(func() { ent.params = train() })
+	return ent.params
+}
+
 // Train runs FedAvg over the given participants and returns the final global
 // model. Per the FedAvg algorithm the server averages client parameter
 // vectors weighted by local dataset size each round. An empty participant
 // list is an error.
 func (tr *Trainer) Train(parts []*Participant) (*nn.Model, error) {
+	return tr.TrainMemo(parts, nil)
+}
+
+// TrainMemo is Train with round-0 local updates taken from memo (nil means
+// train every one). The result is bit-identical to Train's.
+func (tr *Trainer) TrainMemo(parts []*Participant, memo *FirstRoundMemo) (*nn.Model, error) {
+	if memo != nil && memo.tr != tr {
+		return nil, fmt.Errorf("fl: FirstRoundMemo used with a trainer other than its own")
+	}
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("fl: Train needs at least one participant")
 	}
@@ -157,20 +217,35 @@ func (tr *Trainer) Train(parts []*Participant) (*nn.Model, error) {
 			selTotal += p.Size()
 		}
 		uploads := make([][]float64, len(selected))
-		trainOne := func(idx int, p *Participant) {
+		trainLocal := func(p *Participant) []float64 {
 			local := global.Clone()
 			e := tr.encodedData(p)
 			local.TrainEpochs(e.x, e.y, tr.cfg.LocalEpochs)
+			tr.localTrains.Add(1)
+			return local.Params()
+		}
+		trainOne := func(idx int, p *Participant) {
+			shared := round == 0 && memo != nil
+			var lp []float64
+			if shared {
+				lp = memo.params(p, func() []float64 { return trainLocal(p) })
+			} else {
+				lp = trainLocal(p)
+			}
 			w := float64(p.Size()) / float64(selTotal)
-			lp := local.Params()
 			if tr.cfg.SecureAgg {
 				uploads[idx] = MaskUpdate(lp, w, idx, len(selected), round, tr.cfg.Seed)
 				return
 			}
-			for i := range lp {
-				lp[i] *= w
+			// The memo's vector is shared with other runs: weight a copy.
+			up := lp
+			if shared {
+				up = make([]float64, len(lp))
 			}
-			uploads[idx] = lp
+			for i, v := range lp {
+				up[i] = v * w
+			}
+			uploads[idx] = up
 		}
 		if tr.cfg.Parallel {
 			var wg sync.WaitGroup

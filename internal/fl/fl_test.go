@@ -372,6 +372,119 @@ func TestTrainConcurrentCoalitionsDeterministic(t *testing.T) {
 	}
 }
 
+// TestFirstRoundMemoTrainsOnce trains every coalition of a 4-participant
+// federation twice, all concurrently through one memo (what a valuation
+// oracle does), and pins that each participant's round 0 is trained exactly
+// once while every later round is still trained per run, with every model
+// bit-identical to a memo-free Train. Run it under -race.
+func TestFirstRoundMemoTrainsOnce(t *testing.T) {
+	tab := dataset.TicTacToe().Subset(seq(160))
+	r := stats.NewRNG(4)
+	enc, err := dataset.NewEncoder(tab.Schema, 4, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := PartitionSkewSample(tab, 4, 1, r)
+	cfg := TrainConfig{
+		Rounds: 2, LocalEpochs: 1, Parallel: true,
+		Model: nn.Config{Hidden: []int{4}, Grafting: true, Seed: 2, BatchSize: 64},
+	}
+	var coalitions [][]*Participant
+	sizes := 0
+	for mask := 1; mask < 1<<len(parts); mask++ {
+		var c []*Participant
+		for i, p := range parts {
+			if mask&(1<<i) != 0 {
+				c = append(c, p)
+			}
+		}
+		coalitions = append(coalitions, c)
+		sizes += len(c)
+	}
+	refTr := NewTrainer(enc, cfg)
+	ref := make([][]float64, len(coalitions))
+	for i, c := range coalitions {
+		m, err := refTr.Train(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[i] = m.Params()
+	}
+
+	const repeats = 2
+	tr := NewTrainer(enc, cfg)
+	memo := tr.NewFirstRoundMemo()
+	got := make([][]float64, repeats*len(coalitions))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, err := tr.TrainMemo(coalitions[i%len(coalitions)], memo)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = m.Params()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want := ref[i%len(coalitions)]
+		for j := range want {
+			if got[i][j] != want[j] {
+				t.Fatalf("run %d param %d: %v with the memo, %v without", i, j, got[i][j], want[j])
+			}
+		}
+	}
+	// Round 0: one training per participant. Rounds 1..R-1: one per member
+	// per run, as without the memo.
+	want := int64(len(parts) + repeats*sizes*(cfg.Rounds-1))
+	if n := tr.localTrains.Load(); n != want {
+		t.Fatalf("%d local trainings, want %d (%d participants trained once in round 0)", n, want, len(parts))
+	}
+}
+
+// TestFirstRoundMemoNotAliased trains {p,q} and then {p} through one memo:
+// if the {p,q} run had weighted p's shared round-0 vector in place, the {p}
+// run would start from a scaled update and differ from a fresh Train({p}).
+func TestFirstRoundMemoNotAliased(t *testing.T) {
+	tab := dataset.TicTacToe().Subset(seq(120))
+	r := stats.NewRNG(6)
+	enc, err := dataset.NewEncoder(tab.Schema, 4, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := PartitionSkewSample(tab, 2, 1, r)
+	cfg := TrainConfig{Rounds: 2, LocalEpochs: 1, Model: nn.Config{Hidden: []int{4}, Seed: 8}}
+	tr := NewTrainer(enc, cfg)
+	memo := tr.NewFirstRoundMemo()
+	if _, err := tr.TrainMemo(parts, memo); err != nil {
+		t.Fatal(err)
+	}
+	got, err := tr.TrainMemo(parts[:1], memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewTrainer(enc, cfg).Train(parts[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := got.Params(), want.Params()
+	for j := range w {
+		if g[j] != w[j] {
+			t.Fatalf("param %d: %v after a shared {p,q} run, %v fresh", j, g[j], w[j])
+		}
+	}
+	if _, err := NewTrainer(enc, cfg).TrainMemo(parts, memo); err == nil {
+		t.Fatal("a memo was accepted by a trainer other than its own")
+	}
+}
+
 func seq(n int) []int {
 	out := make([]int, n)
 	for i := range out {

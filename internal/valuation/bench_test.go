@@ -5,6 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
+	"repro/internal/fl"
+	"repro/internal/nn"
 	"repro/internal/stats"
 )
 
@@ -68,5 +71,43 @@ func BenchmarkSampledShapleyParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkOracleFedAvgShapley times one Shapley pass with real FedAvg
+// coalition training on a fresh oracle: tic-tac-toe at its natural size,
+// n = 8 skew-label participants and the paper-pipeline training defaults
+// (2 rounds of 10 local epochs, 64 hidden nodes), n permutations without
+// truncation. Unlike the synthetic benchmarks above it measures training
+// cost, so it is where sharing round-0 local updates across coalitions
+// shows.
+func BenchmarkOracleFedAvgShapley(b *testing.B) {
+	const n = 8
+	tab := dataset.TicTacToe()
+	r := stats.NewRNG(1)
+	train, test := tab.Split(r, 0.2)
+	parts := fl.PartitionSkewLabel(train, n, 0.8, r)
+	enc, err := dataset.NewEncoder(tab.Schema, 10, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	trainer := fl.NewTrainer(enc, fl.TrainConfig{
+		Rounds: 2, LocalEpochs: 10, Parallel: true,
+		Model: nn.Config{
+			Hidden: []int{64}, Grafting: true, Seed: 2,
+			L1Logic: 2e-4, L2Head: 1e-3, KeepBest: true,
+		},
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o, err := NewOracle(trainer, parts, test)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sv := &ShapleyValue{Trainer: trainer, Permutations: n, TruncationEps: -1, Seed: 1, SharedOracle: o}
+		if _, err := sv.Scores(parts, test); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(o.Evals()), "evals/op")
 	}
 }

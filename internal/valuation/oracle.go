@@ -9,7 +9,10 @@ package valuation
 // trainings with a worker semaphore so a large batch cannot oversubscribe
 // the machine. Utilities are deterministic functions of the mask (FedAvg
 // training is seeded), so results are bit-identical regardless of worker
-// count or call interleaving.
+// count or call interleaving. The one piece of training shared between
+// coalitions is exact: round 0 of every coalition starts from the same
+// seeded model, so each participant's round-0 local update is trained once
+// per oracle and reused by every coalition that contains it.
 
 import (
 	"fmt"
@@ -55,6 +58,10 @@ type Oracle struct {
 	trainer *fl.Trainer
 	parts   []*fl.Participant
 	test    *dataset.Table
+	// memo shares each participant's round-0 local update across every
+	// coalition this oracle trains (see fl.FirstRoundMemo); schemes sharing
+	// the oracle share it too.
+	memo *fl.FirstRoundMemo
 	// n is the federation size the masks address.
 	n int
 	// trainFn, when non-nil, replaces FedAvg retraining + evaluation —
@@ -111,6 +118,7 @@ func NewOracle(trainer *fl.Trainer, parts []*fl.Participant, test *dataset.Table
 		parts:        parts,
 		test:         test,
 		n:            len(parts),
+		memo:         trainer.NewFirstRoundMemo(),
 		EmptyUtility: maj,
 	}
 	o.testX, o.testY = trainer.Encoder().EncodeTable(test)
@@ -262,7 +270,7 @@ func (o *Oracle) train(mask uint64) (float64, error) {
 				coalition = append(coalition, p)
 			}
 		}
-		model, err := o.trainer.Train(coalition)
+		model, err := o.trainer.TrainMemo(coalition, o.memo)
 		if err != nil {
 			return 0, fmt.Errorf("valuation: training coalition %b: %w", mask, err)
 		}

@@ -16,8 +16,8 @@ if [[ "${1:-}" == "chaos" ]]; then
     exit 0
 fi
 
-# pin runs one zero-alloc pin test and fails unless that test ran and
-# passed: a -run pattern that names no test still prints PASS and exits 0.
+# pin runs one pinned test and fails unless that test ran and passed: a
+# -run pattern that names no test still prints PASS and exits 0.
 pin() {
     local test="$1" pkg="$2" out
     out="$(go test -run="^${test}\$" -count=1 -v "$pkg")" || { echo "$out"; return 1; }
@@ -42,6 +42,7 @@ go test -race ./internal/store/... ./internal/jobs/... ./internal/server/... ./i
 
 echo "== go test -race (valuation engine + round stream + FL trainer, parallel paths exercised)"
 go test -race ./internal/valuation/... ./internal/rounds/... ./internal/fl/...
+go test -race -count=10 -run='FirstRoundMemo' ./internal/fl/
 go test -race -short ./internal/experiments/...
 
 echo "== go test -race (adversarial robustness: attack matrix + ContAvg defense)"
@@ -57,6 +58,11 @@ echo "== zero-alloc pins (training hot loop; disabled fault injector; cached uti
 pin TestTrainInnerLoopZeroAlloc ./internal/nn/
 pin TestDisabledInjectorZeroAlloc ./internal/faults/
 pin TestUtilityCacheHitZeroAlloc ./internal/valuation/
+
+echo "== first-round memo pins (schemes bit-identical with it; each round 0 trained once, never aliased)"
+pin TestOracleFirstRoundMemoMatchesPlainTrain ./internal/valuation/
+pin TestFirstRoundMemoTrainsOnce ./internal/fl/
+pin TestFirstRoundMemoNotAliased ./internal/fl/
 
 echo "== zero-alloc pins (wire-protocol ingest + predict hot paths)"
 pin TestValidateUploadFrameZeroAlloc ./internal/protocol/
@@ -79,7 +85,7 @@ go test -run=NONE -bench='BenchmarkTraceIndexed|BenchmarkTrainEpochs' -benchtime
     ./internal/core/ ./internal/nn/
 go test -run=NONE -bench='BenchmarkCountCorrect|BenchmarkPredictBatch' -benchtime=1x \
     ./internal/nn/
-go test -run=NONE -bench='BenchmarkOracleBatch|BenchmarkSampledShapleyParallel' -benchtime=1x \
+go test -run=NONE -bench='BenchmarkOracleBatch|BenchmarkSampledShapleyParallel|BenchmarkOracleFedAvgShapley' -benchtime=1x \
     ./internal/valuation/
 go test -run=NONE -bench='BenchmarkTraceResult|BenchmarkUploadIngest' -benchtime=1x \
     ./internal/protocol/
