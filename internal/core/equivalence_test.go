@@ -41,7 +41,7 @@ func TestPropertyIndexMatchesLinearScanRandom(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		fx := newRandomFixture(r)
 		tau := 0.5 + 0.5*r.Float64()
-		tr := NewTracerFromUploads(fx.rs, fx.parts, cloneUploads(fx.ups), Config{TauW: tau})
+		tr := NewTracerFromUploads(fx.rs, fx.parts, fx.ups, Config{TauW: tau})
 		res := tr.Trace(fx.tab)
 
 		// Rebuild the expected result with the reference linear scan.
@@ -80,7 +80,7 @@ func TestPropertyTraceActivationsMatchesLinearScanRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		fx := newRandomFixture(r)
-		tr := NewTracerFromUploads(fx.rs, fx.parts, cloneUploads(fx.ups), Config{TauW: 0.4 + 0.6*r.Float64()})
+		tr := NewTracerFromUploads(fx.rs, fx.parts, fx.ups, Config{TauW: 0.4 + 0.6*r.Float64()})
 		weights := fx.rs.Weights()
 		for trial := 0; trial < 10; trial++ {
 			side := bitset.New(fx.rs.Width())

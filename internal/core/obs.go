@@ -10,7 +10,9 @@ import (
 // it; the zero value is inert (every instrument is a nil-safe no-op), so
 // the tracing kernel never branches on more than one pointer.
 type Obs struct {
-	// BuildSeconds times index construction (NewTracerFromUploads).
+	// BuildSeconds times index construction (NewTracerFromUploads). A
+	// server observes it once per tracer-input generation: the first trace
+	// job on new rules or uploads builds the index, later jobs share it.
 	BuildSeconds *telemetry.Histogram
 	// TraceSeconds times one full Trace pass over a test table.
 	TraceSeconds *telemetry.Histogram

@@ -50,16 +50,14 @@ func PerturbActivations(s *bitset.Set, eps float64, r *rand.Rand) *bitset.Set {
 // gracefully as eps shrinks; BenchmarkAblationDP quantifies the trade-off.
 func (t *Tracer) WithLocalDP(eps float64, seed int64) *Tracer {
 	r := rand.New(rand.NewSource(seed))
-	dp := &Tracer{
-		cfg:        t.cfg,
-		obs:        t.obs,
-		rs:         t.rs,
-		numParts:   t.numParts,
-		trainOwner: t.trainOwner,
-		trainLabel: t.trainLabel,
-		trainActs:  make([]*bitset.Set, len(t.trainActs)),
+	dp := &index{
+		rs:           t.rs,
+		numParts:     t.numParts,
+		trainOwner:   t.trainOwner,
+		trainLabel:   t.trainLabel,
+		trainActs:    make([]*bitset.Set, len(t.trainActs)),
+		trainByLabel: t.trainByLabel,
 	}
-	dp.trainByLabel = t.trainByLabel
 	for j, s := range t.trainActs {
 		// Perturb the full pattern, then re-restrict to the instance's
 		// class side as NewTracer does (the class mask is public model
@@ -67,6 +65,6 @@ func (t *Tracer) WithLocalDP(eps float64, seed int64) *Tracer {
 		noisy := PerturbActivations(s, eps, r)
 		dp.trainActs[j] = noisy.And(t.rs.ClassMask(t.trainLabel[j]))
 	}
-	dp.buildIndex()
-	return dp
+	dp.build()
+	return newView(dp, t.cfg)
 }

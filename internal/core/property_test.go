@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -180,22 +181,14 @@ func TestPropertyZeroElementRandom(t *testing.T) {
 	}
 }
 
-func cloneUploads(ups []TrainingUpload) []TrainingUpload {
-	out := make([]TrainingUpload, len(ups))
-	for i, u := range ups {
-		out[i] = TrainingUpload{Owner: u.Owner, Label: u.Label, Activations: u.Activations.Clone()}
-	}
-	return out
-}
-
 func TestPropertyTauMonotonicityRandom(t *testing.T) {
 	// Raising tau can only shrink the related sets (Eq. 4 is a threshold
 	// test), so per-instance counts are pointwise non-increasing in tau.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		fx := newRandomFixture(r)
-		lo := NewTracerFromUploads(fx.rs, fx.parts, cloneUploads(fx.ups), Config{TauW: 0.6}).Trace(fx.tab)
-		hi := NewTracerFromUploads(fx.rs, fx.parts, cloneUploads(fx.ups), Config{TauW: 0.95}).Trace(fx.tab)
+		lo := NewTracerFromUploads(fx.rs, fx.parts, fx.ups, Config{TauW: 0.6}).Trace(fx.tab)
+		hi := NewTracerFromUploads(fx.rs, fx.parts, fx.ups, Config{TauW: 0.95}).Trace(fx.tab)
 		for te := 0; te < lo.TestSize; te++ {
 			for i := 0; i < fx.parts; i++ {
 				if hi.Counts[te][i] > lo.Counts[te][i] {
@@ -206,6 +199,65 @@ func TestPropertyTauMonotonicityRandom(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameResult reports whether two tracing passes agree bit for bit on every
+// per-instance count, every allocation and every interpretability counter.
+func sameResult(a, b *Result) bool {
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	scores := func(r *Result) [][]uint64 {
+		return [][]uint64{
+			bits(r.MicroScores()), bits(r.MacroScores()), bits(r.MicroLossScores()),
+			bits(r.MacroLossScores()), bits(r.UselessRatio()),
+			bits([]float64{r.Accuracy(), r.CoverageGap()}),
+		}
+	}
+	return reflect.DeepEqual(a.Counts, b.Counts) &&
+		reflect.DeepEqual(a.TrainMatched, b.TrainMatched) &&
+		reflect.DeepEqual(a.Pred, b.Pred) &&
+		reflect.DeepEqual(scores(a), scores(b)) &&
+		reflect.DeepEqual(a.beneficialFreq, b.beneficialFreq) &&
+		reflect.DeepEqual(a.harmfulFreq, b.harmfulFreq) &&
+		reflect.DeepEqual(a.uncoveredRuleFreq, b.uncoveredRuleFreq)
+}
+
+// TestPropertyWithParamsMatchesFreshBuildRandom pins the shared-index
+// contract: a WithParams view over one index traces any tau/delta exactly as
+// a fresh build with that tau/delta does, and building never writes to the
+// uploads it indexes.
+func TestPropertyWithParamsMatchesFreshBuildRandom(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		fx := newRandomFixture(r)
+		before := make([]string, len(fx.ups))
+		for i, u := range fx.ups {
+			before[i] = u.Activations.Key()
+		}
+		shared := NewTracerFromUploads(fx.rs, fx.parts, fx.ups, Config{TauW: 0.5 + 0.5*r.Float64()})
+		for q := 0; q < 4; q++ {
+			tau, delta := 0.3+0.7*r.Float64(), 1+r.Intn(4)
+			view := shared.WithParams(tau, delta)
+			fresh := NewTracerFromUploads(fx.rs, fx.parts, fx.ups, Config{TauW: tau, Delta: delta})
+			if view.Config() != fresh.Config() || !sameResult(view.Trace(fx.tab), fresh.Trace(fx.tab)) {
+				return false
+			}
+		}
+		for i, u := range fx.ups {
+			if u.Activations.Key() != before[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

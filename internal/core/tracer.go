@@ -45,17 +45,30 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 8
 	}
+	if c.TauW <= 0 || c.TauW > 1 {
+		panic(fmt.Sprintf("core: TauW must be in (0,1], got %v", c.TauW))
+	}
 	return c
 }
 
 // Tracer matches test instances against the training data of a federation
-// through the activated rules of a trained rule-based model.
+// through the activated rules of a trained rule-based model. It pairs a
+// shared, immutable tracing index with the per-query parameters (TauW,
+// Delta): WithParams makes a new Tracer over the same index, so one index
+// serves every tau/delta a caller asks for.
 type Tracer struct {
+	*index
 	cfg Config
 	// obs is cfg.Obs or an inert zero value, so instrumentation sites
 	// never need a nil check on the struct itself.
 	obs *Obs
-	rs  *rules.Set
+}
+
+// index is everything a Tracer derives from (rules, uploads, participant
+// count) alone. It is never written after build, so any number of Tracers
+// may share one and trace concurrently.
+type index struct {
+	rs *rules.Set
 
 	numParts int
 	// Per training instance: owner participant index, label, and class-side
@@ -66,9 +79,9 @@ type Tracer struct {
 	// trainByLabel[l] lists training indices with label l.
 	trainByLabel [2][]int
 
-	// Tracing index, built once by buildIndex. Eq. 4 is a pure function of
-	// a training instance's class-side activation pattern, and real
-	// federations repeat patterns heavily, so the index deduplicates
+	// The lookup structures, filled in once by build. Eq. 4 is a pure
+	// function of a training instance's class-side activation pattern, and
+	// real federations repeat patterns heavily, so the index deduplicates
 	// training instances into unique (label, pattern) groups and answers
 	// every query over those:
 	//
@@ -94,6 +107,27 @@ type Tracer struct {
 
 	// scratch pools per-goroutine accumulator state for traceInto.
 	scratch sync.Pool
+}
+
+// newView pairs idx with cfg (defaults applied, TauW validated).
+func newView(idx *index, cfg Config) *Tracer {
+	cfg = cfg.withDefaults()
+	t := &Tracer{index: idx, cfg: cfg, obs: cfg.Obs}
+	if t.obs == nil {
+		t.obs = &Obs{}
+	}
+	return t
+}
+
+// WithParams returns a Tracer that shares t's index and configuration but
+// traces with Eq. 4 threshold tau and macro minimum delta (zero values take
+// the Config defaults). It costs one small allocation, and its results are
+// bit-identical to a fresh NewTracerFromUploads over the same inputs with
+// that tau and delta. It panics if tau is outside (0, 1].
+func (t *Tracer) WithParams(tau float64, delta int) *Tracer {
+	cfg := t.cfg
+	cfg.TauW, cfg.Delta = tau, delta
+	return newView(t.index, cfg)
 }
 
 // TrainingUpload is one training instance's contribution to the tracing
@@ -128,43 +162,40 @@ func NewTracer(rs *rules.Set, parts []*fl.Participant, cfg Config) *Tracer {
 
 // NewTracerFromUploads builds a tracer directly from uploaded activation
 // vectors — the entry point a real federation server would use after
-// decoding participants' protocol messages. Upload activation sets are
-// owned by the tracer afterwards (they are masked in place).
+// decoding participants' protocol messages. The uploads are only read: the
+// class-side sets are carved from one slab, so callers may keep using (and
+// building further tracers from) the same uploads.
 func NewTracerFromUploads(rs *rules.Set, numParts int, uploads []TrainingUpload, cfg Config) *Tracer {
-	cfg = cfg.withDefaults()
-	if cfg.TauW <= 0 || cfg.TauW > 1 {
-		panic(fmt.Sprintf("core: TauW must be in (0,1], got %v", cfg.TauW))
-	}
-	t := &Tracer{cfg: cfg, obs: cfg.Obs, rs: rs, numParts: numParts}
-	if t.obs == nil {
-		t.obs = &Obs{}
-	}
+	t := newView(&index{rs: rs, numParts: numParts}, cfg)
 	buildStart := time.Now()
-	for _, u := range uploads {
+	idx := t.index
+	idx.trainOwner = make([]int, len(uploads))
+	idx.trainLabel = make([]int, len(uploads))
+	idx.trainActs = make([]*bitset.Set, len(uploads))
+	sides := bitset.MakeSlab(len(uploads), rs.Width())
+	for j, u := range uploads {
 		if u.Owner < 0 || u.Owner >= numParts {
 			panic(fmt.Sprintf("core: upload owner %d out of range [0,%d)", u.Owner, numParts))
 		}
 		if u.Label != 0 && u.Label != 1 {
 			panic(fmt.Sprintf("core: upload label %d invalid", u.Label))
 		}
-		side := u.Activations.And(rs.ClassMask(u.Label))
-		idx := len(t.trainActs)
-		t.trainOwner = append(t.trainOwner, u.Owner)
-		t.trainLabel = append(t.trainLabel, u.Label)
-		t.trainActs = append(t.trainActs, side)
-		t.trainByLabel[u.Label] = append(t.trainByLabel[u.Label], idx)
+		idx.trainOwner[j] = u.Owner
+		idx.trainLabel[j] = u.Label
+		idx.trainActs[j] = u.Activations.AndInto(rs.ClassMask(u.Label), &sides[j])
+		idx.trainByLabel[u.Label] = append(idx.trainByLabel[u.Label], j)
 	}
-	t.buildIndex()
+	idx.build()
 	t.obs.BuildSeconds.ObserveSince(buildStart)
-	t.obs.UniqueGroups.Set(float64(len(t.upat)))
+	t.obs.UniqueGroups.Set(float64(len(idx.upat)))
 	return t
 }
 
-// buildIndex deduplicates the training instances into unique (label,
+// build deduplicates the training instances into unique (label,
 // class-side pattern) groups and constructs the rule → group posting lists,
 // per-group owner histograms and member lists, and per-group weighted
 // totals. All slabs are carved from contiguous backing arrays.
-func (t *Tracer) buildIndex() {
+func (t *index) build() {
 	width := t.rs.Width()
 	weights := t.rs.Weights()
 
@@ -252,8 +283,8 @@ type traceScratch struct {
 	matched []int32
 }
 
-func (t *Tracer) getScratch() *traceScratch   { return t.scratch.Get().(*traceScratch) }
-func (t *Tracer) putScratch(sc *traceScratch) { t.scratch.Put(sc) }
+func (t *index) getScratch() *traceScratch   { return t.scratch.Get().(*traceScratch) }
+func (t *index) putScratch(sc *traceScratch) { t.scratch.Put(sc) }
 
 // NumParticipants returns the number of indexed participants.
 func (t *Tracer) NumParticipants() int { return t.numParts }

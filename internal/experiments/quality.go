@@ -50,11 +50,7 @@ func RunQuality(s *Setup) (*QualityResult, error) {
 			})
 		}
 	}
-	clones := make([]core.TrainingUpload, len(uploads))
-	for i, u := range uploads {
-		clones[i] = core.TrainingUpload{Owner: u.Owner, Label: u.Label, Activations: u.Activations.Clone()}
-	}
-	tracer := core.NewTracerFromUploads(rs, len(parts), clones, s.CTFLConfig())
+	tracer := core.NewTracerFromUploads(rs, len(parts), uploads, s.CTFLConfig())
 	res := tracer.Trace(s.Test)
 
 	return &QualityResult{

@@ -42,8 +42,8 @@ type Report struct {
 }
 
 // Assess builds reports for every participant from the tracing result and
-// the original uploads (the same vectors the tracer indexed; pass clones if
-// the tracer was built from them, since it masks uploads in place).
+// the original uploads (the same vectors the tracer indexed; building a
+// tracer leaves them unchanged).
 func Assess(res *core.Result, uploads []core.TrainingUpload, weights []float64, posMask, negMask *bitset.Set) []Report {
 	n := res.NumParticipants
 	reports := make([]Report, n)

@@ -48,11 +48,7 @@ func buildScenario(t *testing.T) (*core.Result, []core.TrainingUpload, *rules.Se
 			})
 		}
 	}
-	clone := make([]core.TrainingUpload, len(uploads))
-	for i, u := range uploads {
-		clone[i] = core.TrainingUpload{Owner: u.Owner, Label: u.Label, Activations: u.Activations.Clone()}
-	}
-	tracer := core.NewTracerFromUploads(rs, len(parts), clone, core.Config{TauW: 0.8})
+	tracer := core.NewTracerFromUploads(rs, len(parts), uploads, core.Config{TauW: 0.8})
 	res := tracer.Trace(test)
 	return res, uploads, rs, []string{"honest", "replicator", "flipper"}
 }
@@ -132,8 +128,7 @@ func TestAssessEmptyParticipant(t *testing.T) {
 	}
 	rs := rules.Extract(m, enc)
 	up := []core.TrainingUpload{{Owner: 0, Label: 1, Activations: bitset.New(rs.Width())}}
-	clone := []core.TrainingUpload{{Owner: 0, Label: 1, Activations: bitset.New(rs.Width())}}
-	tracer := core.NewTracerFromUploads(rs, 2, clone, core.Config{TauW: 0.8})
+	tracer := core.NewTracerFromUploads(rs, 2, up, core.Config{TauW: 0.8})
 	res = tracer.Trace(&dataset.Table{Schema: schema})
 	reports := Assess(res, up, rs.Weights(), rs.ClassMask(1), rs.ClassMask(0))
 	if reports[1].Instances != 0 || reports[1].Grade == "" {

@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"repro/internal/dataset"
@@ -116,6 +118,48 @@ func BenchmarkServerUploadIngest(b *testing.B) {
 		rd.Reset(fx.frames)
 		req := httptest.NewRequest(http.MethodPost, "/v1/uploads", rd)
 		req.Header.Set("Content-Type", protocol.ContentTypeFrame)
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	}
+}
+
+// BenchmarkServerTraceMiss measures a /v1/trace result-cache miss end to
+// end through ServeHTTP: CSV parse, job submit, the trace job itself and
+// the answer. The state (encoder, model and 16 copies of the federation's
+// uploads) and every request are built before the timer starts. Each op
+// asks for a tau the 128-job result cache cannot still hold, so every op
+// traces; the tracing index is built by the first op and shared after.
+func BenchmarkServerTraceMiss(b *testing.B) {
+	fx := buildFederation(b)
+	s := benchServer(b, fx)
+	for i := 0; i < 16; i++ {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/uploads", bytes.NewReader(fx.frames)))
+		if w.Code != http.StatusOK {
+			b.Fatalf("uploads: status %d: %s", w.Code, w.Body)
+		}
+	}
+	const distinct = 1024
+	reqs := make([]*http.Request, distinct)
+	for k := range reqs {
+		tau := strconv.FormatFloat(0.5+0.5*float64(k+1)/distinct, 'g', -1, 64)
+		reqs[k] = httptest.NewRequest(http.MethodPost, fmt.Sprintf("/v1/trace?tau=%s&delta=2&wait=60s", tau), nil)
+		reqs[k].Header.Set("Content-Type", "text/csv")
+		reqs[k].ContentLength = int64(len(fx.testCSV))
+	}
+	rd := bytes.NewReader(fx.testCSV)
+	body := io.NopCloser(rd)
+
+	b.SetBytes(int64(len(fx.testCSV)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(fx.testCSV)
+		req := reqs[i%distinct]
+		req.Body = body
 		w := httptest.NewRecorder()
 		s.ServeHTTP(w, req)
 		if w.Code != http.StatusOK {

@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"mime"
 	"net/http"
 	"strconv"
@@ -271,9 +272,39 @@ type state struct {
 	parts    int      // highest participant id seen + 1
 	rounds   *rounds.Engine
 	evalRaw  []byte // streaming eval set CSV exactly as registered
-	// version counts accepted mutations; trace cache keys include it so any
-	// state change invalidates prior results.
+	// index is the tracing index over (rs, uploads, parts). Only the
+	// mutators that change those replace it (newTracerInputs), so a round
+	// push keeps both the index and every cached trace result.
+	index *traceIndex
+	// version counts accepted mutations.
 	version uint64
+}
+
+// newTracerInputs records a change to the tracer inputs (rs, uploads,
+// parts): it counts the mutation and starts a new, not yet built index.
+func (st *state) newTracerInputs() {
+	st.version++
+	st.index = &traceIndex{gen: st.version}
+}
+
+// traceIndex is the tracing index of one tracer-input generation. The first
+// trace job on the generation builds it; every later job, whatever its tau
+// and delta, traces a core.Tracer.WithParams view of it.
+type traceIndex struct {
+	// gen is the state version that started the generation: unique across
+	// generations, so trace cache keys carry it instead of the version.
+	gen    uint64
+	once   sync.Once
+	tracer *core.Tracer
+}
+
+// get returns the generation's index, building it from st on first use.
+// st must be a snapshot whose index is x.
+func (x *traceIndex) get(st *state, obs *core.Obs) *core.Tracer {
+	x.once.Do(func() {
+		x.tracer = core.NewTracerFromUploads(st.rs, st.parts, st.uploads, core.Config{Obs: obs})
+	})
+	return x.tracer
 }
 
 // Server is the federation scoring service. The zero value is not usable;
@@ -619,7 +650,7 @@ func (s *Server) applyEncoder(enc *dataset.Encoder, raw []byte) {
 	s.st.model, s.st.modelRaw, s.st.rs, s.st.bin = nil, nil, nil, nil
 	s.st.uploads, s.st.frames, s.st.parts = nil, nil, 0
 	s.st.rounds, s.st.evalRaw = nil, nil
-	s.st.version++
+	s.st.newTracerInputs()
 }
 
 func (s *Server) applyModel(m *nn.Model, raw []byte) {
@@ -630,7 +661,7 @@ func (s *Server) applyModel(m *nn.Model, raw []byte) {
 	// reconstructs coalitions of the previous model's parameters.
 	s.st.uploads, s.st.frames, s.st.parts = nil, nil, 0
 	s.st.rounds, s.st.evalRaw = nil, nil
-	s.st.version++
+	s.st.newTracerInputs()
 }
 
 // applyUploadFrame decodes a validated upload frame into state: records are
@@ -646,7 +677,7 @@ func (s *Server) applyUploadFrame(frame []byte) error {
 	if info.Participant+1 > s.st.parts {
 		s.st.parts = info.Participant + 1
 	}
-	s.st.version++
+	s.st.newTracerInputs()
 	return nil
 }
 
@@ -1126,7 +1157,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := traceKey(body, tau, delta, snap.version)
+	key := traceKey(body, tau, delta, snap.index.gen)
 	// Capture the request context for span parentage only: context values
 	// survive request cancellation, so the async job's spans attach under
 	// the request's root even after the handler has answered 202. The
@@ -1137,21 +1168,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		defer jspan.End()
 		jspan.SetAttr("rows", test.Len())
 		jspan.SetAttr("participants", snap.parts)
-		tracer := core.NewTracerFromUploads(snap.rs, snap.parts, cloneUploads(snap.uploads),
-			core.Config{TauW: tau, Delta: delta, Obs: s.coreObs})
+		tracer := snap.index.get(&snap, s.coreObs).WithParams(tau, delta)
 		_, tspan := telemetry.StartSpan(jctx, "tracer.trace")
 		res := tracer.Trace(test)
 		tspan.End()
-		sus := res.Suspicion(0.5)
-		return &TraceResponse{
-			Accuracy:     res.Accuracy(),
-			CoverageGap:  res.CoverageGap(),
-			Micro:        res.MicroScores(),
-			Macro:        res.MacroScores(),
-			LossRatio:    sus.Ratio,
-			UselessRatio: res.UselessRatio(),
-			Suspects:     sus.Suspects,
-		}, nil
+		return traceResponse(res), nil
 	})
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
@@ -1180,6 +1201,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/v1/trace/"+job.ID())
 	writeJSON(w, http.StatusAccepted, jobResponse(jv))
+}
+
+// traceResponse allocates the scores a trace job answers with.
+func traceResponse(res *core.Result) *TraceResponse {
+	sus := res.Suspicion(0.5)
+	return &TraceResponse{
+		Accuracy:     res.Accuracy(),
+		CoverageGap:  res.CoverageGap(),
+		Micro:        res.MicroScores(),
+		Macro:        res.MacroScores(),
+		LossRatio:    sus.Ratio,
+		UselessRatio: res.UselessRatio(),
+		Suspects:     sus.Suspects,
+	}
 }
 
 // acceptsFrame reports whether the request negotiated the binary v2
@@ -1230,28 +1265,19 @@ func (s *Server) handleTraceJob(w http.ResponseWriter, r *http.Request) {
 	s.writeJob(w, r, job.Snapshot())
 }
 
-// traceKey derives the result-cache key: test-set content, tracing
-// parameters, and the federation state version — any state change yields a
-// fresh key, so stale results are never served.
-func traceKey(body []byte, tau float64, delta int, version uint64) string {
+// traceKey derives the result-cache key: test-set content, the exact bits
+// of the tracing parameters, and the tracer-input generation — any change to
+// rules or uploads yields a fresh key, so stale results are never served,
+// while mutations the tracer never reads (round ingest) keep the cache.
+func traceKey(body []byte, tau float64, delta int, gen uint64) string {
 	h := sha256.New()
 	var meta [24]byte
-	binary.LittleEndian.PutUint64(meta[0:8], uint64(int64(tau*1e12)))
+	binary.LittleEndian.PutUint64(meta[0:8], math.Float64bits(tau))
 	binary.LittleEndian.PutUint64(meta[8:16], uint64(int64(delta)))
-	binary.LittleEndian.PutUint64(meta[16:24], version)
+	binary.LittleEndian.PutUint64(meta[16:24], gen)
 	h.Write(meta[:])
 	h.Write(body)
 	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// cloneUploads protects the registered uploads from the tracer's in-place
-// class-side masking, so traces stay repeatable.
-func cloneUploads(ups []core.TrainingUpload) []core.TrainingUpload {
-	out := make([]core.TrainingUpload, len(ups))
-	for i, u := range ups {
-		out[i] = core.TrainingUpload{Owner: u.Owner, Label: u.Label, Activations: u.Activations.Clone()}
-	}
-	return out
 }
 
 // RuleJSON is one rule in GET /v1/rules responses.

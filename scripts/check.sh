@@ -64,6 +64,12 @@ pin TestOracleFirstRoundMemoMatchesPlainTrain ./internal/valuation/
 pin TestFirstRoundMemoTrainsOnce ./internal/fl/
 pin TestFirstRoundMemoNotAliased ./internal/fl/
 
+echo "== shared tracing index pins (one build per tracer-input generation, bit-identical to a fresh build; round ingest keeps the trace cache)"
+pin TestTraceIndexBuiltOncePerGeneration ./internal/server/
+pin TestRoundIngestKeepsTraceCache ./internal/server/
+pin TestPropertyWithParamsMatchesFreshBuildRandom ./internal/core/
+go test -race -count=5 -run='^TestTraceIndexBuiltOncePerGeneration$' ./internal/server/
+
 echo "== zero-alloc pins (wire-protocol ingest + predict hot paths)"
 pin TestValidateUploadFrameZeroAlloc ./internal/protocol/
 pin TestValidateRoundUpdateFrameZeroAlloc ./internal/protocol/
@@ -81,7 +87,7 @@ for tgt in FuzzReadUpload FuzzParseFrame FuzzPredictRequest FuzzTraceResult Fuzz
 done
 
 echo "== bench smoke (1 iteration per hot-path benchmark)"
-go test -run=NONE -bench='BenchmarkTraceIndexed|BenchmarkTrainEpochs' -benchtime=1x \
+go test -run=NONE -bench='BenchmarkTraceIndexed|BenchmarkNewTracer|BenchmarkTrainEpochs' -benchtime=1x \
     ./internal/core/ ./internal/nn/
 go test -run=NONE -bench='BenchmarkCountCorrect|BenchmarkPredictBatch' -benchtime=1x \
     ./internal/nn/
@@ -93,6 +99,8 @@ go test -run=NONE -bench='BenchmarkRoundIngest|BenchmarkIncrementalScores' -benc
     ./internal/rounds/
 go test -run=NONE -bench='BenchmarkFlightRecord' -benchtime=1x \
     ./internal/flight/
+go test -run=NONE -bench='BenchmarkServerTraceMiss' -benchtime=1x \
+    ./internal/server/
 
 echo "== benchdiff (pinned hot paths vs newest BENCH_*.json, >20% ns/op regression fails)"
 go run ./scripts/benchdiff
