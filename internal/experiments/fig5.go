@@ -4,13 +4,19 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/telemetry"
+	"repro/internal/valuation"
 )
 
-// MethodTiming records one scheme's wall-clock cost to produce final scores.
+// MethodTiming records one scheme's wall-clock cost to produce final scores
+// and the work behind it: local client trainings and coalition evaluations.
 type MethodTiming struct {
-	Name    string
-	Elapsed time.Duration
-	Scores  []float64
+	Name                        string
+	Elapsed                     time.Duration
+	Scores                      []float64
+	LocalTrains, CoalitionEvals int64
 }
 
 // Fig5Result reproduces one group of bars of the paper's Fig. 5.
@@ -20,19 +26,31 @@ type Fig5Result struct {
 }
 
 // RunFig5 times every scheme end-to-end (training included) with no shared
-// caches, mirroring the paper's execution-time measurement.
+// caches, mirroring the paper's execution-time measurement. Each baseline
+// gets its own instrumented oracle, built inside its timed span.
 func RunFig5(s *Setup, includeExpensive bool) (*Fig5Result, error) {
 	res := &Fig5Result{Workload: s.Workload}
 	for _, scheme := range s.Schemes(includeExpensive) {
+		trains, obs := s.Trainer.LocalTrains(), valuation.NewObs(telemetry.NewRegistry())
 		start := time.Now()
+		if _, ctfl := scheme.(*core.Scheme); !ctfl {
+			o, err := valuation.NewOracle(s.Trainer, s.Parts, s.Test)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s: %w", scheme.Name(), err)
+			}
+			o.Obs = obs
+			AttachOracle([]valuation.Scheme{scheme}, o)
+		}
 		scores, err := scheme.Scores(s.Parts, s.Test)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", scheme.Name(), err)
 		}
 		res.Timings = append(res.Timings, MethodTiming{
-			Name:    scheme.Name(),
-			Elapsed: time.Since(start),
-			Scores:  scores,
+			Name:           scheme.Name(),
+			Elapsed:        time.Since(start),
+			Scores:         scores,
+			LocalTrains:    s.Trainer.LocalTrains() - trains,
+			CoalitionEvals: obs.Evals.Value(),
 		})
 	}
 	return res, nil

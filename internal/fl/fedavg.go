@@ -91,6 +91,10 @@ func (tr *Trainer) Encoder() *dataset.Encoder { return tr.enc }
 // Config returns the training configuration in effect.
 func (tr *Trainer) Config() TrainConfig { return tr.cfg }
 
+// LocalTrains reports the local client trainings run so far, over every
+// Train call on this trainer.
+func (tr *Trainer) LocalTrains() int64 { return tr.localTrains.Load() }
+
 // encodedData returns (and caches) the encoded form of p's local data.
 // Concurrent callers for the same participant encode once: the entry is
 // claimed under the lock, the (expensive) encode runs outside it, and

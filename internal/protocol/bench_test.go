@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -87,8 +86,8 @@ func benchUploadFrame(b *testing.B) []byte {
 // BenchmarkUploadIngest compares the ingest pipelines: the legacy path
 // materializes an Upload (one bitset per record), re-encodes it for the WAL
 // and converts to training records; the zero-copy path validates in place,
-// persists the raw bytes (free) and slab-decodes straight into training
-// records.
+// persists the raw bytes (free) and, at index build, slab-decodes straight
+// into training records.
 func BenchmarkUploadIngest(b *testing.B) {
 	frame := benchUploadFrame(b)
 	b.Run("path=v1_decode_reencode", func(b *testing.B) {
@@ -110,13 +109,13 @@ func BenchmarkUploadIngest(b *testing.B) {
 	b.Run("path=v2_zerocopy", func(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
-		var dst []core.TrainingUpload
+		frames := [][]byte{frame}
 		for i := 0; i < b.N; i++ {
-			if _, err := ValidateUploadFrame(frame); err != nil {
+			info, err := ValidateUploadFrame(frame)
+			if err != nil {
 				b.Fatal(err)
 			}
-			var err error
-			if dst, _, err = AppendTrainingRecords(dst[:0], frame); err != nil {
+			if _, err := DecodeTrainingRecords(frames, info.Records); err != nil {
 				b.Fatal(err)
 			}
 		}

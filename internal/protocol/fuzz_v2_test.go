@@ -1,8 +1,11 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // seedFrame adds the canonical mutation set for one valid frame: the frame
@@ -241,4 +244,72 @@ func traceResultsBitEqual(a, b *TraceResult) bool {
 		}
 	}
 	return true
+}
+
+// FuzzDecodeTrainingRecords: arbitrary bytes, cut into frames at the
+// uint16 lengths in cuts (the remainder is the last frame), never panic the
+// generation decoder. It accepts exactly when every frame passes
+// ValidateUploadFrame with no trailing bytes, all frames share one rule
+// width, and records is the header sum (skew shifts it off); what it
+// accepts equals the per-frame legacy decode record by record.
+func FuzzDecodeTrainingRecords(f *testing.F) {
+	r := stats.NewRNG(21)
+	var data, cuts []byte
+	for _, pn := range [][2]int{{1, 3}, {0, 0}, {3, 5}} {
+		frame, err := randomUpload(r, pn[0], 70, pn[1]).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		data = append(data, frame...)
+		cuts = binary.LittleEndian.AppendUint16(cuts, uint16(len(frame)))
+	}
+	f.Add(data, cuts, int8(0))
+	f.Add(data, cuts, int8(-1))
+	f.Add(data, cuts[:2], int8(0))
+	f.Add(data, cuts[:4], int8(0))
+	f.Add(data[:len(data)-1], cuts, int8(0))
+	other, err := randomUpload(r, 2, 69, 1).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(append([]byte(nil), data...), other...), cuts, int8(0))
+	f.Add([]byte{}, []byte{}, int8(0))
+
+	f.Fuzz(func(t *testing.T, data, cuts []byte, skew int8) {
+		var frames [][]byte
+		for ; len(cuts) >= 2 && len(data) > 0; cuts = cuts[2:] {
+			n := min(int(binary.LittleEndian.Uint16(cuts)), len(data))
+			frames, data = append(frames, data[:n:n]), data[n:]
+		}
+		if len(data) > 0 {
+			frames = append(frames, data)
+		}
+		ok, width, sum := true, 0, 0
+		for i, fr := range frames {
+			info, err := ValidateUploadFrame(fr)
+			if err != nil || info.FrameLen != len(fr) || (i > 0 && info.RuleWidth != width) {
+				ok = false
+				continue
+			}
+			width, sum = info.RuleWidth, sum+info.Records
+		}
+		ok = ok && skew == 0
+		got, err := DecodeTrainingRecords(frames, sum+int(skew))
+		if (err == nil) != ok {
+			t.Fatalf("decode err %v, want accept=%v over %d frames", err, ok, len(frames))
+		}
+		if err != nil {
+			if got != nil {
+				t.Fatalf("rejected decode returned %d records", len(got))
+			}
+			return
+		}
+		want, err := legacyTrainingRecords(frames, width)
+		if err != nil {
+			t.Fatalf("legacy decode rejects what the generation decode accepts: %v", err)
+		}
+		if err := sameTrainingRecords(got, want); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -392,34 +392,57 @@ func ValidateUploadFrame(b []byte) (UploadFrameInfo, error) {
 	return info, nil
 }
 
-// AppendTrainingRecords decodes one validated upload frame's records
-// directly into core.TrainingUpload values appended to dst. All of a
-// frame's activation bitsets share a single backing slab, so the decode
-// costs a constant number of allocations per frame regardless of record
-// count — the in-memory half of the zero-copy ingest path. The frame is
-// re-validated (it usually arrives from the WAL), and trailing bytes after
-// it are rejected like DecodeUpload.
+// DecodeTrainingRecords decodes a generation's upload frames, in order, into
+// core.TrainingUpload values whose activation sets share one bitset slab:
+// a constant number of allocations however many frames and records there
+// are. records must be the sum of the frames' header record counts. Every
+// frame is re-validated first, and the decode allocates nothing and fails
+// if a frame is invalid or has trailing bytes, if two frames differ in rule
+// width, or if the counts do not sum to records.
+func DecodeTrainingRecords(frames [][]byte, records int) ([]core.TrainingUpload, error) {
+	width, sum := 0, 0
+	for i, frame := range frames {
+		info, err := ValidateUploadFrame(frame)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("frame %d: %w", i, err)
+		case info.FrameLen != len(frame):
+			return nil, fmt.Errorf("protocol: %d trailing bytes after frame %d", len(frame)-info.FrameLen, i)
+		case i > 0 && info.RuleWidth != width:
+			return nil, fmt.Errorf("protocol: frame %d has rule width %d, frame 0 has %d", i, info.RuleWidth, width)
+		}
+		width, sum = info.RuleWidth, sum+info.Records
+	}
+	if sum != records {
+		return nil, fmt.Errorf("protocol: frames hold %d records, want %d", sum, records)
+	}
+	dst := make([]core.TrainingUpload, records)
+	slab := bitset.MakeSlab(records, width)
+	recBytes, j := 1+(width+7)/8, 0
+	for _, frame := range frames {
+		body := frame[frameHeaderLen : len(frame)-frameCRCLen]
+		owner := int(binary.LittleEndian.Uint32(body))
+		for at := 12; at < len(body); at, j = at+recBytes, j+1 {
+			slab[j].SetPackedBytes(body[at+1 : at+recBytes])
+			dst[j] = core.TrainingUpload{Owner: owner, Label: int(body[at]), Activations: &slab[j]}
+		}
+	}
+	return dst, nil
+}
+
+// AppendTrainingRecords decodes one upload frame and appends its records to
+// dst.
+//
+// Deprecated: decode a generation's frames together with
+// DecodeTrainingRecords. This remains for perfbench's layer replay.
 func AppendTrainingRecords(dst []core.TrainingUpload, frame []byte) ([]core.TrainingUpload, UploadFrameInfo, error) {
 	info, err := ValidateUploadFrame(frame)
 	if err != nil {
 		return dst, UploadFrameInfo{}, err
 	}
-	if info.FrameLen != len(frame) {
-		return dst, UploadFrameInfo{}, fmt.Errorf("protocol: %d trailing bytes after frame", len(frame)-info.FrameLen)
+	ups, err := DecodeTrainingRecords([][]byte{frame}, info.Records)
+	if err != nil {
+		return dst, UploadFrameInfo{}, err
 	}
-	body := frame[frameHeaderLen : frameHeaderLen+int64(binary.LittleEndian.Uint32(frame[6:frameHeaderLen]))]
-	slab := bitset.MakeSlab(info.Records, info.RuleWidth)
-	recBytes := 1 + (info.RuleWidth+7)/8
-	at := 12
-	for i := 0; i < info.Records; i++ {
-		s := &slab[i]
-		s.SetPackedBytes(body[at+1 : at+recBytes])
-		dst = append(dst, core.TrainingUpload{
-			Owner:       info.Participant,
-			Label:       int(body[at]),
-			Activations: s,
-		})
-		at += recBytes
-	}
-	return dst, info, nil
+	return append(dst, ups...), info, nil
 }

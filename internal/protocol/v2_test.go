@@ -2,10 +2,12 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -283,42 +285,96 @@ func TestValidateUploadFrameMatchesDecode(t *testing.T) {
 
 var errTrailing = bytes.ErrTooLarge // any non-nil sentinel for the differential check
 
-// TestAppendTrainingRecordsMatchesToTrainingUploads pins the slab decode to
-// the legacy decode→convert path record by record.
-func TestAppendTrainingRecordsMatchesToTrainingUploads(t *testing.T) {
-	r := stats.NewRNG(12)
-	u := randomUpload(r, 2, 97, 9)
-	frame, err := u.Encode()
-	if err != nil {
-		t.Fatal(err)
+// legacyTrainingRecords is the reference decode of a generation: each frame
+// through DecodeUpload, then ToTrainingUploads over all of them.
+func legacyTrainingRecords(frames [][]byte, width int) ([]core.TrainingUpload, error) {
+	ups := make([]*Upload, len(frames))
+	parts := 0
+	for i, f := range frames {
+		var err error
+		if ups[i], err = DecodeUpload(f); err != nil {
+			return nil, err
+		}
+		parts = max(parts, ups[i].Participant+1)
 	}
+	return ToTrainingUploads(ups, width, parts)
+}
 
-	want, err := ToTrainingUploads([]*Upload{u}, 97, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, info, err := AppendTrainingRecords(nil, frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Participant != 2 || info.Records != 9 || info.FrameLen != len(frame) {
-		t.Fatalf("info = %+v", info)
-	}
+// sameTrainingRecords reports the first record where got and want differ.
+func sameTrainingRecords(got, want []core.TrainingUpload) error {
 	if len(got) != len(want) {
-		t.Fatalf("%d records, want %d", len(got), len(want))
+		return fmt.Errorf("%d records, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i].Owner != want[i].Owner || got[i].Label != want[i].Label {
-			t.Fatalf("record %d: %+v vs %+v", i, got[i], want[i])
+			return fmt.Errorf("record %d: owner/label %d/%d, want %d/%d",
+				i, got[i].Owner, got[i].Label, want[i].Owner, want[i].Label)
 		}
 		if !got[i].Activations.Equal(want[i].Activations) {
-			t.Fatalf("record %d activations differ", i)
+			return fmt.Errorf("record %d activations differ", i)
 		}
 	}
+	return nil
+}
 
-	// Trailing bytes after the frame are rejected, like DecodeUpload.
-	if _, _, err := AppendTrainingRecords(nil, append(append([]byte(nil), frame...), 0)); err == nil {
-		t.Fatal("trailing byte accepted")
+// TestDecodeTrainingRecordsMatchesToTrainingUploads pins the generation
+// decode to the legacy decode→convert path record by record, over frames
+// from several participants, and checks its three rejections.
+func TestDecodeTrainingRecordsMatchesToTrainingUploads(t *testing.T) {
+	r := stats.NewRNG(12)
+	var frames [][]byte
+	records := 0
+	for _, pn := range [][2]int{{2, 9}, {0, 1}, {4, 0}, {1, 17}, {2, 3}} {
+		frame, err := randomUpload(r, pn[0], 97, pn[1]).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
+		records += pn[1]
+	}
+	want, err := legacyTrainingRecords(frames, 97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeTrainingRecords(frames, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameTrainingRecords(got, want); err != nil {
+		t.Fatal(err)
+	}
+	// The single-frame form decodes the same records.
+	one, info, err := AppendTrainingRecords(nil, frames[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Participant != 1 || info.Records != 17 || info.FrameLen != len(frames[3]) {
+		t.Fatalf("info = %+v", info)
+	}
+	if err := sameTrainingRecords(one, want[10:27]); err != nil {
+		t.Fatal(err)
+	}
+
+	narrow, err := randomUpload(r, 3, 96, 2).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailing := append(append([]byte(nil), frames[1]...), 0)
+	for name, c := range map[string]struct {
+		frames  [][]byte
+		records int
+	}{
+		"width mismatch": {append(frames[:2:2], narrow), 12},
+		"too few":        {frames, records - 1},
+		"too many":       {frames, records + 1},
+		"trailing bytes": {[][]byte{frames[0], trailing}, 10},
+	} {
+		if got, err := DecodeTrainingRecords(c.frames, c.records); err == nil || got != nil {
+			t.Errorf("%s: accepted (%d records, err %v)", name, len(got), err)
+		}
+	}
+	if _, _, err := AppendTrainingRecords(nil, trailing); err == nil {
+		t.Error("single-frame decode accepted a trailing byte")
 	}
 }
 

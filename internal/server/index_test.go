@@ -69,6 +69,8 @@ func traceJob(t *testing.T, ts *httptest.Server, tau float64, delta int, csv []b
 
 // freshTrace is the reference for one trace: a tracer built from scratch
 // over the server's current rules and uploads with the given tau and delta.
+// It decodes the held frames one by one through the legacy DecodeUpload →
+// ToTrainingUploads path, independent of the index build's decoder.
 func freshTrace(t *testing.T, s *Server, tau float64, delta int, csv []byte) []byte {
 	t.Helper()
 	s.mu.RLock()
@@ -78,7 +80,17 @@ func freshTrace(t *testing.T, s *Server, tau float64, delta int, csv []byte) []b
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewTracerFromUploads(st.rs, st.parts, st.uploads, core.Config{TauW: tau, Delta: delta}).Trace(test)
+	ups := make([]*protocol.Upload, len(st.frames))
+	for i, f := range st.frames {
+		if ups[i], err = protocol.DecodeUpload(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records, err := protocol.ToTrainingUploads(ups, st.rs.Width(), st.parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := core.NewTracerFromUploads(st.rs, st.parts, records, core.Config{TauW: tau, Delta: delta}).Trace(test)
 	return protocol.AppendTraceResult(nil, traceResponse(res))
 }
 
@@ -248,5 +260,34 @@ func TestTraceKeyDistinguishesAdjacentTau(t *testing.T) {
 	}
 	if traceKey(body, 0.9, 2, 1) == traceKey(body, 0.9, 2, 2) {
 		t.Error("trace key ignores the tracer-input generation")
+	}
+}
+
+// TestTraceIndexDecodeErrorFailsJob: frames the index build cannot decode
+// fail the trace job with the decoder's error instead of panicking a
+// worker, and no index is built.
+func TestTraceIndexDecodeErrorFailsJob(t *testing.T) {
+	fx := buildFederation(t)
+	s := New()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	publishAll(t, ts, fx)
+	s.mu.Lock()
+	s.st.records++ // the headers no longer sum to the count
+	s.st.newTracerInputs()
+	s.mu.Unlock()
+
+	resp := post(t, ts, "/v1/trace?wait=60s", "text/csv", fx.testCSV)
+	defer resp.Body.Close()
+	var env TraceJobResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || env.Status != "failed" ||
+		!strings.Contains(env.Error, "records") {
+		t.Fatalf("status %d, job %+v; want a failed job naming the record count", resp.StatusCode, env)
+	}
+	if n := buildCount(t, ts); n != 0 {
+		t.Fatalf("%d index builds, want 0", n)
 	}
 }

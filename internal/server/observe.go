@@ -382,20 +382,7 @@ func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.runtime.Collect()
-	s.mu.RLock()
-	eng := s.st.rounds
-	st := map[string]any{
-		"version":      s.st.version,
-		"encoder":      s.st.enc != nil,
-		"model":        s.st.model != nil,
-		"records":      len(s.st.uploads),
-		"participants": s.st.parts,
-		"degraded":     s.degraded,
-	}
-	if eng != nil {
-		st["rounds"] = eng.Rounds()
-	}
-	s.mu.RUnlock()
+	st, eng := s.stateSummary()
 
 	evs := s.flightRec.Snapshot(flight.Filter{})
 	events := make([]EventJSON, len(evs))

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/protocol"
 )
 
 // rawJobEnv decodes a trace-job envelope keeping the result as raw bytes,
@@ -125,6 +127,71 @@ func TestRestartReproducesTraceByteForByte(t *testing.T) {
 			t.Fatalf("health after recovery = %v", h)
 		}
 	})
+}
+
+// TestRecordsCountSurvivesRestart pins the node's record count, which is
+// summed from frame headers and never from decoded records: it matches the
+// records a full decode finds, comes back unchanged from WAL replay and from
+// a snapshot, and drops to 0 when a model or encoder publish discards the
+// uploads.
+func TestRecordsCountSurvivesRestart(t *testing.T) {
+	fx := buildFederation(t)
+	perUpload := 0
+	for rd := bytes.NewReader(fx.frames); rd.Len() > 0; {
+		up, err := protocol.ReadUpload(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perUpload += len(up.Records)
+	}
+	check := func(stage string, s *Server, ts *httptest.Server, want int) {
+		t.Helper()
+		s.mu.RLock()
+		n := s.st.records
+		s.mu.RUnlock()
+		h, err := (&Client{BaseURL: ts.URL}).Health(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want || h["uploads"].(float64) != float64(want) {
+			t.Fatalf("%s: state holds %d records, /healthz reports %v, want %d", stage, n, h["uploads"], want)
+		}
+	}
+
+	dir := t.TempDir()
+	s1 := newDurable(t, dir)
+	ts1 := httptest.NewServer(s1)
+	publishAll(t, ts1, fx)
+	if resp := post(t, ts1, "/v1/uploads", protocol.ContentTypeFrame, fx.frames); resp.StatusCode != http.StatusOK {
+		t.Fatalf("second uploads status %d", resp.StatusCode)
+	}
+	check("after two uploads", s1, ts1, 2*perUpload)
+	ts1.Close()
+
+	// s1 was not closed, so this boot replays the WAL alone.
+	s2 := newDurable(t, dir)
+	ts2 := httptest.NewServer(s2)
+	check("after WAL replay", s2, ts2, 2*perUpload)
+	ts2.Close()
+	closeServer(t, s2)
+
+	s3 := newDurable(t, dir)
+	ts3 := httptest.NewServer(s3)
+	defer ts3.Close()
+	defer closeServer(t, s3)
+	check("after snapshot replay", s3, ts3, 2*perUpload)
+	if resp := post(t, ts3, "/v1/model", "application/octet-stream", fx.modelBytes); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("model status %d", resp.StatusCode)
+	}
+	check("after model publish", s3, ts3, 0)
+	if resp := post(t, ts3, "/v1/uploads", protocol.ContentTypeFrame, fx.frames); resp.StatusCode != http.StatusOK {
+		t.Fatalf("uploads status %d", resp.StatusCode)
+	}
+	check("after re-upload", s3, ts3, perUpload)
+	if resp := post(t, ts3, "/v1/encoder", "application/json", fx.encoderJSON); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("encoder status %d", resp.StatusCode)
+	}
+	check("after encoder publish", s3, ts3, 0)
 }
 
 func TestAsyncTraceFlow(t *testing.T) {

@@ -22,8 +22,9 @@
 // protocol frames of (label, activation bitset) records.
 //
 // The hot paths speak the binary wire protocol (internal/protocol):
-// uploads are validated in place and persisted byte-for-byte (no
-// decode→re-encode round trip), /v1/predict serves the compiled
+// uploads are validated in place, persisted byte-for-byte (no
+// decode→re-encode round trip) and held only as those frames, which the
+// tracing index build decodes once per generation; /v1/predict serves the compiled
 // nn.Binarized evaluator over v2 predict frames (JSON negotiable via
 // Content-Type/Accept), and completed trace results stream as binary v2
 // frames to clients that Accept application/x-ctfl.
@@ -259,7 +260,8 @@ func (o Options) withDefaults() Options {
 
 // state is the federation's mutable lifecycle state. Mutations replace or
 // append — existing values are never edited in place — so a consistent
-// snapshot is just a copy of this struct taken under a read lock.
+// snapshot is just a copy of this struct taken under a read lock. An upload
+// is held once, as its validated frame; only the tracing index build decodes.
 type state struct {
 	enc      *dataset.Encoder
 	encRaw   []byte // encoder JSON exactly as accepted, for snapshots
@@ -267,12 +269,12 @@ type state struct {
 	modelRaw []byte // model bytes exactly as accepted
 	rs       *rules.Set
 	bin      *nn.Binarized // compiled inference snapshot behind /v1/predict
-	uploads  []core.TrainingUpload
-	frames   [][]byte // accepted protocol frames, byte-for-byte as uploaded
-	parts    int      // highest participant id seen + 1
+	frames   [][]byte      // accepted upload frames, byte-for-byte as uploaded
+	records  int           // records in frames, summed from their headers
+	parts    int           // highest participant id seen + 1
 	rounds   *rounds.Engine
 	evalRaw  []byte // streaming eval set CSV exactly as registered
-	// index is the tracing index over (rs, uploads, parts). Only the
+	// index is the tracing index over (rs, frames, parts). Only the
 	// mutators that change those replace it (newTracerInputs), so a round
 	// push keeps both the index and every cached trace result.
 	index *traceIndex
@@ -280,7 +282,7 @@ type state struct {
 	version uint64
 }
 
-// newTracerInputs records a change to the tracer inputs (rs, uploads,
+// newTracerInputs records a change to the tracer inputs (rs, frames,
 // parts): it counts the mutation and starts a new, not yet built index.
 func (st *state) newTracerInputs() {
 	st.version++
@@ -296,15 +298,19 @@ type traceIndex struct {
 	gen    uint64
 	once   sync.Once
 	tracer *core.Tracer
+	err    error
 }
 
-// get returns the generation's index, building it from st on first use.
-// st must be a snapshot whose index is x.
-func (x *traceIndex) get(st *state, obs *core.Obs) *core.Tracer {
+// get returns the generation's index, decoding st's frames and building it
+// on first use. st must be a snapshot whose index is x.
+func (x *traceIndex) get(st *state, obs *core.Obs) (*core.Tracer, error) {
 	x.once.Do(func() {
-		x.tracer = core.NewTracerFromUploads(st.rs, st.parts, st.uploads, core.Config{Obs: obs})
+		var ups []core.TrainingUpload
+		if ups, x.err = protocol.DecodeTrainingRecords(st.frames, st.records); x.err == nil {
+			x.tracer = core.NewTracerFromUploads(st.rs, st.parts, ups, core.Config{Obs: obs})
+		}
 	})
-	return x.tracer
+	return x.tracer, x.err
 }
 
 // Server is the federation scoring service. The zero value is not usable;
@@ -511,7 +517,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 			}
 		}
 		s.log.Info("replayed wal", "events", len(events), "dir", opts.DataDir,
-			"participants", s.st.parts, "records", len(s.st.uploads))
+			"participants", s.st.parts, "records", s.st.records)
 	}
 
 	s.route("/healthz", s.handleHealth)
@@ -602,18 +608,8 @@ func (s *Server) applyEvent(ev store.Event) error {
 		s.applyModel(m, ev.Payload)
 		return nil
 	case store.EventUpload:
-		info, err := protocol.ValidateUploadFrame(ev.Payload)
-		if err != nil {
-			return err
-		}
-		if info.FrameLen != len(ev.Payload) {
-			return fmt.Errorf("%d trailing bytes after upload frame", len(ev.Payload)-info.FrameLen)
-		}
 		if s.st.rs == nil {
 			return errors.New("upload event before model")
-		}
-		if info.RuleWidth != s.st.rs.Width() {
-			return fmt.Errorf("upload width %d, rules %d", info.RuleWidth, s.st.rs.Width())
 		}
 		return s.applyUploadFrame(ev.Payload)
 	case store.EventRoundEval:
@@ -648,7 +644,7 @@ func (s *Server) applyEncoder(enc *dataset.Encoder, raw []byte) {
 	s.st.enc, s.st.encRaw = enc, raw
 	// A new encoding invalidates any model and uploads tied to the old one.
 	s.st.model, s.st.modelRaw, s.st.rs, s.st.bin = nil, nil, nil, nil
-	s.st.uploads, s.st.frames, s.st.parts = nil, nil, 0
+	s.st.frames, s.st.records, s.st.parts = nil, 0, 0
 	s.st.rounds, s.st.evalRaw = nil, nil
 	s.st.newTracerInputs()
 }
@@ -659,24 +655,29 @@ func (s *Server) applyModel(m *nn.Model, raw []byte) {
 	s.st.bin = m.Binarize()
 	// Uploads reference the previous model's rule space; the round stream
 	// reconstructs coalitions of the previous model's parameters.
-	s.st.uploads, s.st.frames, s.st.parts = nil, nil, 0
+	s.st.frames, s.st.records, s.st.parts = nil, 0, 0
 	s.st.rounds, s.st.evalRaw = nil, nil
 	s.st.newTracerInputs()
 }
 
-// applyUploadFrame decodes a validated upload frame into state: records are
-// slab-decoded straight off the frame bytes, and the raw frame itself is
-// retained for snapshots — the server never re-encodes what a client sent.
+// applyUploadFrame validates one upload frame against the rule space and
+// appends it to state as is: the frame is what snapshots and replication
+// carry and what the index build decodes, so the server neither decodes
+// nor re-encodes what a client sent.
 func (s *Server) applyUploadFrame(frame []byte) error {
-	uploads, info, err := protocol.AppendTrainingRecords(s.st.uploads, frame)
+	info, err := protocol.ValidateUploadFrame(frame)
 	if err != nil {
 		return err
 	}
-	s.st.uploads = uploads
-	s.st.frames = append(s.st.frames, frame)
-	if info.Participant+1 > s.st.parts {
-		s.st.parts = info.Participant + 1
+	if info.FrameLen != len(frame) {
+		return fmt.Errorf("%d trailing bytes after upload frame", len(frame)-info.FrameLen)
 	}
+	if info.RuleWidth != s.st.rs.Width() {
+		return fmt.Errorf("upload width %d, rules %d", info.RuleWidth, s.st.rs.Width())
+	}
+	s.st.frames = append(s.st.frames, frame)
+	s.st.records += info.Records
+	s.st.parts = max(s.st.parts, info.Participant+1)
 	s.st.newTracerInputs()
 	return nil
 }
@@ -883,7 +884,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"ok":           true,
 		"encoder":      s.st.enc != nil,
 		"model":        s.st.model != nil,
-		"uploads":      len(s.st.uploads),
+		"uploads":      s.st.records,
 		"participants": s.st.parts,
 		"durable":      s.store != nil,
 		"degraded":     s.degraded,
@@ -1043,8 +1044,8 @@ func (s *Server) handleUploads(w http.ResponseWriter, r *http.Request) {
 	// Persist the whole batch atomically, then apply: a failed persist leaves
 	// no partial prefix in the WAL or in memory, so a client retry of the
 	// same batch cannot double-apply frames. The WAL payloads are the exact
-	// bytes the client sent — replay revalidates and decodes them the same
-	// way this request just did.
+	// bytes the client sent — replay revalidates them the same way this
+	// request just did.
 	evs := make([]store.Event, len(frames))
 	for i, f := range frames {
 		evs[i] = store.Event{Type: store.EventUpload, Payload: f}
@@ -1054,7 +1055,7 @@ func (s *Server) handleUploads(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, f := range frames {
-		// Validation above makes a decode failure impossible; treat one as
+		// Validation above makes an apply failure impossible; treat one as
 		// the internal error it would be.
 		if err := s.applyUploadFrame(f); err != nil {
 			httpError(w, http.StatusInternalServerError, err)
@@ -1062,7 +1063,7 @@ func (s *Server) handleUploads(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.maybeCompactLocked()
-	writeJSON(w, http.StatusOK, map[string]int{"frames": len(frames), "records": len(s.st.uploads)})
+	writeJSON(w, http.StatusOK, map[string]int{"frames": len(frames), "records": s.st.records})
 }
 
 // TraceResponse is the result of a completed trace job. It is the
@@ -1136,7 +1137,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, errors.New("publish encoder and model first"))
 		return
 	}
-	if len(snap.uploads) == 0 {
+	if snap.records == 0 {
 		httpError(w, http.StatusConflict, errors.New("no participant uploads registered"))
 		return
 	}
@@ -1168,7 +1169,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		defer jspan.End()
 		jspan.SetAttr("rows", test.Len())
 		jspan.SetAttr("participants", snap.parts)
-		tracer := snap.index.get(&snap, s.coreObs).WithParams(tau, delta)
+		idx, err := snap.index.get(&snap, s.coreObs)
+		if err != nil {
+			return nil, err
+		}
+		tracer := idx.WithParams(tau, delta)
 		_, tspan := telemetry.StartSpan(jctx, "tracer.trace")
 		res := tracer.Trace(test)
 		tspan.End()
@@ -1333,20 +1338,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	s.mu.RLock()
-	st := map[string]any{
-		"version":      s.st.version,
-		"encoder":      s.st.enc != nil,
-		"model":        s.st.model != nil,
-		"records":      len(s.st.uploads),
-		"participants": s.st.parts,
-		"degraded":     s.degraded,
-	}
-	eng := s.st.rounds
-	if eng != nil {
-		st["rounds"] = eng.Rounds()
-	}
-	s.mu.RUnlock()
+	st, eng := s.stateSummary()
 	s.runtime.Collect()
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
@@ -1366,6 +1358,25 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Store = &m
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// stateSummary is the state map /v1/stats and /v1/debug/bundle report, and
+// the round-stream engine, if one is live.
+func (s *Server) stateSummary() (map[string]any, *rounds.Engine) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	st := map[string]any{
+		"version":      s.st.version,
+		"encoder":      s.st.enc != nil,
+		"model":        s.st.model != nil,
+		"records":      s.st.records,
+		"participants": s.st.parts,
+		"degraded":     s.degraded,
+	}
+	if s.st.rounds != nil {
+		st["rounds"] = s.st.rounds.Rounds()
+	}
+	return st, s.st.rounds
 }
 
 func queryFloat(r *http.Request, key string, def float64) (float64, error) {

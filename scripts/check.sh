@@ -70,6 +70,11 @@ pin TestRoundIngestKeepsTraceCache ./internal/server/
 pin TestPropertyWithParamsMatchesFreshBuildRandom ./internal/core/
 go test -race -count=5 -run='^TestTraceIndexBuiltOncePerGeneration$' ./internal/server/
 
+echo "== upload-held-once pins (the index build's decoder matches the per-frame decode; the record count survives replay; fuzz seed corpus)"
+pin TestDecodeTrainingRecordsMatchesToTrainingUploads ./internal/protocol/
+pin TestRecordsCountSurvivesRestart ./internal/server/
+pin FuzzDecodeTrainingRecords ./internal/protocol/
+
 echo "== zero-alloc pins (wire-protocol ingest + predict hot paths)"
 pin TestValidateUploadFrameZeroAlloc ./internal/protocol/
 pin TestValidateRoundUpdateFrameZeroAlloc ./internal/protocol/
@@ -82,7 +87,7 @@ echo "== zero-alloc pin (flight recorder steady state)"
 pin TestRecordSteadyStateZeroAlloc ./internal/flight/
 
 echo "== fuzz smoke (wire-protocol decoders, 3s each)"
-for tgt in FuzzReadUpload FuzzParseFrame FuzzPredictRequest FuzzTraceResult FuzzRoundUpdate FuzzScoresSnapshot FuzzFlightEvents FuzzWALSegment; do
+for tgt in FuzzReadUpload FuzzDecodeTrainingRecords FuzzParseFrame FuzzPredictRequest FuzzTraceResult FuzzRoundUpdate FuzzScoresSnapshot FuzzFlightEvents FuzzWALSegment; do
     go test -run=NONE -fuzz="^${tgt}\$" -fuzztime=3s ./internal/protocol/ | tail -1
 done
 
